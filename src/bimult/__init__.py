@@ -3,7 +3,7 @@
 The package computes the actions of bilinear operator and Schur multipliers,
 their S2/B/S1 norms and level-n amplifications, tests modularity against
 matrix *-algebra triples, and constructs/verifies weak factorizations of
-trace-class Schur multipliers through the gamma2 semidefinite program.
+trace-class Schur multipliers through certified gamma2 factorizations.
 """
 
 from .algebra import (AlgebraTriple, MatrixAlgebra, commutant, conditional_expectation,
@@ -15,8 +15,8 @@ from .linalg import (ConvergenceError, NotPSDError, ShapeError, SVDResult, adjoi
                      gram_factor, hybrid_close, kron, matmul, psd_project, schatten_norm, svd)
 from .multiplier import (ModularityMethodMismatch, PairSymbol, apply_schur, apply_tau,
                          elementary_pair, extract_U, is_modular, tau1_apply, tau3_apply)
-from .norms import (Gamma2Result, NormEstimate, amplified_norm, evaluate_amplified,
-                    evaluate_bilinear, gamma2, norm_bilinear, s1_norm_schur)
+from .norms import (GAMMA2_MIN_TOL, Gamma2Result, NormEstimate, amplified_norm,
+                    evaluate_amplified, evaluate_bilinear, gamma2, norm_bilinear, s1_norm_schur)
 from .symbols import (SchurSymbol, Symbol3, as_operator, elementary_symbol, embed_schur,
                       make_rng, random_symbol_in, sup_norm)
 

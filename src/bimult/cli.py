@@ -26,7 +26,8 @@ from .factorize import (FactorFamily, schur_s1_factorize, to_weak_factorization,
                         verify_factorization)
 from .linalg import ShapeError, schatten_norm
 from .multiplier import apply_schur, apply_tau, is_modular
-from .norms import NormEstimate, amplified_norm, gamma2, norm_bilinear, s1_norm_schur
+from .norms import (GAMMA2_MIN_TOL, NormEstimate, amplified_norm, gamma2, norm_bilinear,
+                    s1_norm_schur)
 from .selftest import run_selftest
 from .symbols import SchurSymbol, Symbol3, embed_schur, sup_norm
 
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_PARSE = 2
 EXIT_CONTRACT = 3
+TOL_RANGE = (GAMMA2_MIN_TOL, 1e-2)  # the --tol range; gamma2 accepts everything in it
 
 
 @dataclass
@@ -47,8 +49,9 @@ class RunConfig:
     algebra_spec: str | None = None
 
     def __post_init__(self):
-        if not 1e-12 <= self.tolerance <= 1e-2:
-            raise ValueError(f"tolerance {self.tolerance} outside [1e-12, 1e-2]")
+        lo, hi = TOL_RANGE
+        if not lo <= self.tolerance <= hi:
+            raise ValueError(f"tolerance {self.tolerance:g} outside [{lo:g}, {hi:g}]")
         if not 1 <= self.restarts <= 10000:
             raise ValueError(f"restarts {self.restarts} outside [1, 10000]")
 
@@ -72,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", required=True, help="symbol JSON file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--restarts", type=int, default=None)
-        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--tol", type=float, default=1e-8,
+                       help=f"absolute tolerance, in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}]")
         p.add_argument("--format", choices=("json", "text", "csv"), default="json")
         p.add_argument("--witnesses", action="store_true", help="emit witness matrices")
 

@@ -7,9 +7,11 @@ Three kinds of quantities are produced:
   (``amplified_norm``) -- always reported as ``lower_bound``;
 * the gamma2 factorization norm of a matrix (``gamma2``), the optimum of the
   semidefinite program  min t  s.t.  [[X, M], [M*, Y]] >= 0, diag(X) <= t,
-  diag(Y) <= t, solved by bisection on t with Dykstra alternating projections
-  at each query, harvested for certified bounds on both sides (no external
-  solver dependency);
+  diag(Y) <= t, computed from its dual form gamma2(M) = max over unit
+  weights u, v >= 0 of |D_u M D_v|_1 by a damped fixed point on the weights.
+  Each iterate certifies both sides: |D_u M D_v|_1 is a lower bound, and the
+  exact factor rows read off the SVD of D_u M D_v give an upper bound (no
+  external solver dependency);
 * the slice-reduction upper bound for the S1 multiplier norm of a Schur
   kernel (``s1_norm_schur``): the largest per-slice gamma2 value.
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, gram_factor, schatten_norm
+from .linalg import as_matrix, schatten_norm
 from .multiplier import apply_schur, apply_tau
 from .symbols import SchurSymbol, Symbol3, complex_normal, make_rng, sup_norm
 
@@ -310,14 +312,27 @@ def amplified_norm(phi: Symbol3, n: int, target: str = "S1",
 # ---------------------------------------------------------------------------
 
 
+GAMMA2_MIN_TOL = 1e-10  # smallest ``tol`` gamma2 accepts; the CLI's --tol range starts here
+_RECON_GATE = 1e-10  # entrywise error, relative to 1 + max |M_ij|, of an accepted factorization
+_MU_RANGE = (1e-12, 1e-2)  # damping of the weight update, relative to max |M_ij|
+_MU_PER_GAP = 0.05  # damping per unit of certified gap, per row and column
+_RELAX = 1.8  # over-relaxation of the weight update, applied in log space
+_MAX_ITER = 5000  # fixed-point iterations before gamma2 gives up on ``tol``
+
+
 @dataclass
 class Gamma2Result:
-    """Optimum and certificates of the gamma2 semidefinite program.
+    """Certified bracket ``lower <= gamma2(M) <= value`` with its certificates.
 
-    The block matrix [[x_cert, M], [M*, y_cert]] is PSD (to the feasibility
-    tolerance), both diagonals are capped by ``value``, and the factor vectors
-    satisfy <a_i, b_j> = M_ij with the pairing conjugate-linear in the first
-    slot.  ``a_vecs``/``b_vecs`` have one vector per row.
+    ``value`` is attained by the factor vectors: <a_i, b_j> = M_ij with the
+    pairing conjugate-linear in the first slot, and every row of ``a_vecs``
+    and ``b_vecs`` (one vector per row of M, resp. per column) has squared
+    norm at most ``value``.  The block matrix [[x_cert, M], [M*, y_cert]] is
+    their Gram matrix, so it is PSD and both diagonals are capped by
+    ``value``.  ``lower`` is the best |D_u M D_v|_1 over unit weights
+    u, v >= 0 that the iteration visited, and at least max |M_ij|.
+    ``converged`` says whether ``value - lower <= tol``; ``iterations``
+    counts fixed-point steps.
     """
 
     value: float
@@ -326,36 +341,21 @@ class Gamma2Result:
     a_vecs: np.ndarray
     b_vecs: np.ndarray
     primal_residual: float
-
-
-def _proj_affine(w: np.ndarray, m: np.ndarray, t: float) -> np.ndarray:
-    """Project onto {Hermitian, off-diagonal block = m, diagonal <= t}."""
-    n, k = m.shape
-    w = 0.5 * (w + w.conj().T)
-    w[:n, n:] = m
-    w[n:, :n] = m.conj().T
-    d = np.real(np.diagonal(w))
-    np.fill_diagonal(w, np.minimum(d, t))
-    return w
-
-
-def _psd_step(h: np.ndarray) -> np.ndarray:
-    """psd_project without input validation (inner-loop variant)."""
-    h = 0.5 * (h + h.conj().T)
-    w, v = np.linalg.eigh(h)
-    np.clip(w, 0.0, None, out=w)
-    out = (v * w) @ v.conj().T
-    return 0.5 * (out + out.conj().T)
-
-
-def _max_diag(z: np.ndarray) -> float:
-    return float(np.real(np.diagonal(z)).max())
+    lower: float
+    iterations: int
+    converged: bool
 
 
 def _factor_value(a: np.ndarray, b: np.ndarray) -> float:
     na = float(np.linalg.norm(a, axis=1).max()) if a.size else 0.0
     nb = float(np.linalg.norm(b, axis=1).max()) if b.size else 0.0
     return na * nb
+
+
+def _interpolates(a: np.ndarray, b: np.ndarray, ms: np.ndarray) -> bool:
+    """Whether <a_i, b_j> reproduces ms to the reconstruction gate."""
+    gate = _RECON_GATE * (1.0 + float(np.abs(ms).max()))
+    return float(np.abs(a.conj() @ b.T - ms).max()) <= gate
 
 
 def _descent_sweeps(a: np.ndarray, b: np.ndarray, ms: np.ndarray, sweeps: int):
@@ -367,15 +367,14 @@ def _descent_sweeps(a: np.ndarray, b: np.ndarray, ms: np.ndarray, sweeps: int):
     factorization (hence a certified upper bound for the program).  Returns
     the best (value, a, b) seen, or None when the interpolation degrades.
     """
-    gate = 1e-10 * (1.0 + float(np.abs(ms).max()))
     b = (np.linalg.pinv(a.conj()) @ ms).T  # re-interpolate exactly from a
-    if np.abs(a.conj() @ b.T - ms).max() > gate:
+    if not _interpolates(a, b, ms):
         return None
     best = (_factor_value(a, b), a, b)
     for _ in range(sweeps):
         a = np.conj(ms @ np.linalg.pinv(b.T))
         b = (np.linalg.pinv(a.conj()) @ ms).T
-        if np.abs(a.conj() @ b.T - ms).max() > gate:
+        if not _interpolates(a, b, ms):
             break
         val = _factor_value(a, b)
         if val < best[0] - 1e-15:
@@ -397,129 +396,81 @@ def _seed_factors(ms: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     return out
 
 
-def _dual_lower_bound(disp: np.ndarray, ms: np.ndarray) -> float:
-    """Certified lower bound from a displacement-direction dual candidate.
+def _weighted_step(ms: np.ndarray, p: np.ndarray, q: np.ndarray):
+    """One SVD of B = D_u ms D_v (u = sqrt p, v = sqrt q) and what it certifies.
 
-    The dual of the cap program maximizes -2 Re tr(W12* M) over W >= 0 with
-    diagonal diagonal-blocks summing to one; the limiting Dykstra displacement
-    has exactly this shape.  A finite iterate is rounded into the dual cone
-    (zero the stray block entries, then shift by the most negative eigenvalue),
-    so the returned bound is valid regardless of the candidate quality.
+    Returns |B|_1, the factor rows conj(a_i) = ms_i D_v V S^-1/2 and
+    b_j = (U* D_u ms)_j S^-1/2 -- the rows (U S^1/2)_i / u_i and
+    (V S^1/2)_j / v_j, formed without dividing by small weights -- and the
+    row and column masses diag((B B*)^1/2), diag((B* B)^1/2).
     """
-    n, k = ms.shape
-    w = 0.5 * (disp + disp.conj().T)
-    diag = np.real(np.diagonal(w))
-    if diag.sum() < 0.0:  # orientation of the displacement is arbitrary
-        w = -w
-        diag = -diag
-    q = w[:n, n:]
-    wp = np.zeros_like(w)
-    wp[:n, n:] = q
-    wp[n:, :n] = q.conj().T
-    np.fill_diagonal(wp, diag)
-    evals = np.linalg.eigvalsh(wp)
-    shift = max(0.0, -float(evals[0]))
-    total = float(diag.sum()) + shift * (n + k)
-    if total <= 1e-14:
-        return 0.0
-    return 2.0 * abs(float(np.real(np.trace(q.conj().T @ ms)))) / total
-
-
-def _factors_from_psd(y1: np.ndarray, ms: np.ndarray):
-    """Repair a PSD iterate into an exact factorization (certified upper bound)."""
-    n = ms.shape[0]
-    g = gram_factor(y1)
-    if g.shape[0] == 0:
-        return None
-    return _descent_sweeps(g[:, :n].T, g[:, n:].T, ms, sweeps=3)
+    u, v = np.sqrt(p), np.sqrt(q)
+    left, sig, vh = np.linalg.svd(u[:, None] * ms * v, full_matrices=False)
+    keep = sig > 1e-15 * sig[0]
+    inv_root = 1.0 / np.sqrt(sig[keep])
+    a = np.conj((ms * v) @ vh[keep].conj().T * inv_root)
+    b = (ms.T * u) @ left[:, keep].conj() * inv_root
+    row_mass = (np.abs(left) ** 2) @ sig
+    col_mass = (np.abs(vh) ** 2).T @ sig
+    return float(sig.sum()), a, b, row_mass, col_mass
 
 
 def gamma2(m: np.ndarray, tol: float = 1e-8) -> Gamma2Result:
-    """gamma2 factorization norm with SDP certificates and factor vectors.
+    """gamma2 factorization norm with a certified bracket and factor vectors.
 
-    Bisection on the diagonal cap t, starting from the certified bracket
-    [max |M_ij|, seeded factorization value], with Dykstra alternating
-    projections (PSD cone versus the affine set with capped diagonal) as the
-    workhorse at each query.  Every run is harvested for certified bounds on
-    both sides: PSD iterates are repaired into exact factorizations (upper
-    bounds, and the eventual certificates), and the projection displacement
-    is rounded into a feasible dual point (lower bounds).  The loop stops
-    when the certified bracket is narrower than ``tol`` or the iteration
-    budget runs out; the reported value is always attained by the best
-    certified factorization, so it is never below the true optimum.
+    Uses the dual characterization gamma2(M) = max over unit u, v >= 0 of
+    |D_u M D_v|_1 (Lee, Shraibman and Spalek 2008; Linial and Shraibman
+    2009).  With p = u^2, q = v^2 and B = D_u M D_v = U S V*, the weights
+    move towards the damped fixed point p = (diag((B B*)^1/2) + 2 mu) /
+    (|B|_1 + 2 n mu), and q likewise on the column side; each step is
+    over-relaxed in log space.  The damping mu (relative to max |M_ij|)
+    shrinks with the certified gap, from 1e-2 down to 1e-12, and keeps every
+    weight positive, so the iteration does not stall where the optimal
+    weights sit on the boundary.
+
+    Every iterate certifies both sides: |B|_1 is a lower bound, and the
+    exact factor rows (U S^1/2)_i / u_i, (V S^1/2)_j / v_j -- formed without
+    dividing by small weights -- give an upper bound once their
+    reconstruction of M passes the gate (otherwise they are repaired by
+    minimum-norm interpolation sweeps).  The loop stops when the certified
+    bracket is narrower than ``tol`` (absolute, on the value), the weights
+    stop moving, or the iteration budget runs out; ``converged`` says which.
+    ``value`` is always attained by the returned factors, so it is never
+    below the true optimum, and ``lower`` never above it.
     """
     m = as_matrix(m)
-    if tol < 1e-10:
-        raise ValueError("tol must be >= 1e-10")
+    if not tol >= GAMMA2_MIN_TOL:
+        raise ValueError(f"tol must be >= {GAMMA2_MIN_TOL:g}")
     n, k = m.shape
     scale = float(np.abs(m).max())
     if scale == 0.0:
         return Gamma2Result(0.0, np.zeros((n, n)), np.zeros((k, k)),
-                            np.zeros((n, 0)), np.zeros((k, 0)), 0.0)
+                            np.zeros((n, 0)), np.zeros((k, 0)), 0.0, 0.0, 0, True)
     ms = m / scale
-    lo = 1.0  # the largest entry modulus is always a lower bound
-    tol_s = max(tol / scale, 1e-12)
-
-    hi, a_best, b_best = _seed_factors(ms)
-    hi = max(hi, lo)
-
-    total = 0
-    if tol_s < 2e-5:
-        budget = 18000
-    elif tol_s < 2e-4:
-        budget = 9000
-    else:
-        budget = 4500
-    per_run = 900
-    frac = 0.5  # query position inside the bracket, adapted to which side moves
-    warm = None
-    size = n + k
-    while hi - lo > tol_s and total < budget:
-        t = lo + frac * (hi - lo)
-        if warm is None:
-            z = np.zeros((size, size), dtype=np.complex128)
-            z[:n, :n] = t * np.eye(n)
-            z[n:, n:] = t * np.eye(k)
-            z[:n, n:] = ms
-            z[n:, :n] = ms.conj().T
+    lo, hi = 1.0, np.inf  # the largest entry modulus is always a lower bound
+    a_best = b_best = None
+    p, q = np.full(n, 1.0 / n), np.full(k, 1.0 / k)
+    iterations, step = 0, np.inf
+    # the bracket test does the arithmetic of ``converged`` below
+    while hi * scale - lo * scale > tol and iterations < _MAX_ITER and step > 1e-14:
+        iterations += 1
+        trace, a, b, row_mass, col_mass = _weighted_step(ms, p, q)
+        lo = max(lo, trace)
+        if _interpolates(a, b, ms):
+            cand = (_factor_value(a, b), a, b)
         else:
-            z = _proj_affine(warm.copy(), ms, t)
-        p = np.zeros_like(z)
-        q = np.zeros_like(z)
-        davg = np.zeros_like(z)
-        hi_in, lo_in = hi, lo
-        it = 0
-        while it < per_run:
-            it += 1
-            y1 = _psd_step(z + p)
-            p += z - y1
-            w = y1 + q
-            z = _proj_affine(w.copy(), ms, t)
-            q = w - z
-            davg *= 0.9
-            davg += 0.1 * (z - y1)
-            if it % 60 == 0 or it == per_run:
-                resid = float(np.linalg.norm(y1[:n, n:] - ms))
-                if _max_diag(y1) + resid < hi - 1e-14:
-                    out = _factors_from_psd(y1, ms)
-                    if out is not None and out[0] < hi:
-                        hi, a_best, b_best = out
-                for cand in (davg, z - y1):
-                    lb = _dual_lower_bound(cand, ms)
-                    if lb > lo:
-                        lo = lb
-                if hi - lo <= tol_s or float(np.linalg.norm(z - y1)) <= 1e-10:
-                    break
-        warm = y1
-        total += it
-        hi_moved = hi < hi_in - 0.05 * tol_s
-        lo_moved = lo > lo_in + 0.05 * tol_s
-        if hi_moved and not lo_moved:
-            frac = max(0.15, 0.7 * frac)  # optimum hugs the lower edge: query lower
-        elif lo_moved and not hi_moved:
-            frac = min(0.5, frac / 0.7)
-        elif not hi_moved and not lo_moved:
-            per_run = min(2 * per_run, 4000)  # no progress: look longer next time
+            cand = _descent_sweeps(a, b, ms, sweeps=3)
+        if cand is not None and cand[0] < hi:
+            hi, a_best, b_best = cand
+        mu = min(max(_MU_PER_GAP * (hi - lo) / (n + k), _MU_RANGE[0]), _MU_RANGE[1])
+        p_new = p * ((row_mass + 2 * mu) / ((trace + 2 * n * mu) * p)) ** _RELAX
+        q_new = q * ((col_mass + 2 * mu) / ((trace + 2 * k * mu) * q)) ** _RELAX
+        p_new /= p_new.sum()
+        q_new /= q_new.sum()
+        step = max(float(np.abs(p_new - p).max()), float(np.abs(q_new - q).max()))
+        p, q = p_new, q_new
+    if a_best is None:  # no iterate passed the gate
+        hi, a_best, b_best = _seed_factors(ms)
 
     na = np.linalg.norm(a_best, axis=1).max() if a_best.size else 0.0
     nb = np.linalg.norm(b_best, axis=1).max() if b_best.size else 0.0
@@ -533,8 +484,9 @@ def gamma2(m: np.ndarray, tol: float = 1e-8) -> Gamma2Result:
     y_cert = b_vecs.conj() @ b_vecs.T
     recon = a_vecs.conj() @ b_vecs.T
     primal_residual = float(np.linalg.norm(recon - m))
-    value = hi * scale
-    return Gamma2Result(value, x_cert, y_cert, a_vecs, b_vecs, primal_residual)
+    value, lower = hi * scale, lo * scale
+    return Gamma2Result(value, x_cert, y_cert, a_vecs, b_vecs, primal_residual,
+                        lower, iterations, value - lower <= tol)
 
 
 def s1_norm_schur(s: SchurSymbol, tol: float = 1e-6,

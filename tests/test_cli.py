@@ -5,7 +5,7 @@ import pytest
 
 import bimult.io as bio
 from bimult.cli import main
-from bimult.norms import gamma2
+from bimult.norms import GAMMA2_MIN_TOL, gamma2
 from bimult.symbols import SchurSymbol, complex_normal, embed_schur, make_rng
 
 
@@ -250,6 +250,20 @@ def test_bad_tolerance_exits_3(workdir, capsys):
     code, _ = run_cli(capsys, "norm", "--input", workdir["rand.json"],
                       "--target", "s2", "--tol", "0.5")
     assert code == 3
+
+
+def test_tolerance_range_is_the_gamma2_range(workdir, capsys):
+    # below the smallest tol gamma2 accepts: rejected with the configuration,
+    # before the (missing) input file is read, for every command
+    missing = str(workdir["dir"] / "missing.json")
+    for argv in (["gamma2", "--input", missing], ["norm", "--input", missing, "--target", "s2"]):
+        code = main([*argv, "--tol", "1e-11"])
+        assert code == 3
+        assert "tolerance 1e-11 outside [1e-10, 0.01]" in capsys.readouterr().err
+    code, out = run_cli(capsys, "gamma2", "--input", workdir["h2.json"],
+                        "--tol", repr(GAMMA2_MIN_TOL))
+    assert code == 0
+    assert abs(json.loads(out)["value"] - np.sqrt(2.0)) <= 1e-10
 
 
 def test_norm_witness_emission(workdir, capsys):

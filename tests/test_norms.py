@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bimult.norms import (Gamma2Result, amplified_norm, evaluate_amplified,
+from bimult.norms import (GAMMA2_MIN_TOL, Gamma2Result, amplified_norm, evaluate_amplified,
                           evaluate_bilinear, gamma2, norm_bilinear, s1_norm_schur)
 from bimult.symbols import SchurSymbol, complex_normal, embed_schur, make_rng, sup_norm
 
@@ -138,6 +138,53 @@ def test_gamma2_schur_product_submultiplicative():
 def test_gamma2_tol_validation():
     with pytest.raises(ValueError):
         gamma2(np.eye(2), tol=1e-11)
+
+
+def _rank_one():
+    rng = make_rng(59)
+    u, v = complex_normal(rng, 3), complex_normal(rng, 4)
+    return np.outer(u, v), float(np.abs(u).max() * np.abs(v).max())
+
+
+@pytest.mark.parametrize("m, exact", [
+    (np.ones((4, 4)), 1.0),
+    (np.eye(2), 1.0),
+    (np.array([[1.0, 1.0], [1.0, -1.0]]), np.sqrt(2.0)),
+    _rank_one(),
+], ids=["ones-4x4", "eye-2", "hadamard-2", "rank-one-3x4"])
+def test_gamma2_exact_values(m, exact):
+    res = gamma2(m, tol=GAMMA2_MIN_TOL)
+    assert res.converged
+    assert abs(res.value - exact) <= 1e-10 * exact
+    assert abs(res.lower - exact) <= 1e-10 * exact
+    certificate_checks(np.asarray(m, dtype=complex), res)
+
+
+def test_gamma2_zero_matrix_bracket():
+    res = gamma2(np.zeros((2, 3)))
+    assert res.value == res.lower == 0.0
+    assert res.converged and res.iterations == 0
+
+
+def test_gamma2_reports_a_bracket_that_cannot_close():
+    # tol=1e-10 on a value near 1e6 asks for 1e-16 relative, below rounding
+    m = 1e6 * complex_normal(make_rng(63), (3, 3))
+    res = gamma2(m, tol=1e-10)
+    assert not res.converged and res.value - res.lower > 1e-10
+    assert 0 < res.iterations <= 5000
+    scale = np.abs(m).max()
+    assert scale <= res.lower <= res.value <= res.lower * (1 + 1e-6)
+    assert np.abs(res.a_vecs.conj() @ res.b_vecs.T - m).max() <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_gamma2_boundary_2x5_converges(seed):
+    # the optimal column weights of a generic 2x5 matrix sit on the boundary
+    m = complex_normal(make_rng(62, seed), (2, 5))
+    res = gamma2(m, tol=1e-8)
+    assert res.converged and res.iterations > 0
+    assert np.abs(m).max() <= res.lower <= res.value <= res.lower + 1e-8
+    certificate_checks(m, res)
 
 
 def test_s1_norm_schur_single_slice():
