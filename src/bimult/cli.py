@@ -248,7 +248,7 @@ def _cmd_factorize(args, cfg: RunConfig) -> tuple[dict, int]:
         family = FactorFamily(a_list=family.a_list[:keep], b_list=family.b_list[:keep],
                               dims=family.dims)
     phi = embed_schur(sym)
-    measured = norm_bilinear(sym, "s1", restarts=cfg.restarts, seed=cfg.seed)
+    measured = s1_norm_schur(sym, tol=cfg.tolerance, restarts=cfg.restarts, seed=cfg.seed)[1]
     report = verify_factorization(phi, family, _full_triple(phi.dims), measured, seed=cfg.seed)
     payload = {
         "a_field": bio.vector_field_to_json(a),
@@ -278,7 +278,7 @@ def _cmd_verify_factorization(args, cfg: RunConfig) -> tuple[dict, int]:
     family = bio.family_from_json(bio.load_json_file(args.family), where=args.family)
     triple = _triple_from_spec(args.algebras, phi.dims)
     if isinstance(sym, SchurSymbol):
-        measured = norm_bilinear(sym, "s1", restarts=cfg.restarts, seed=cfg.seed)
+        measured = s1_norm_schur(sym, tol=cfg.tolerance, restarts=cfg.restarts, seed=cfg.seed)[1]
     else:
         measured = amplified_norm(phi, 1, "s1", restarts=cfg.restarts, seed=cfg.seed)
     report = verify_factorization(phi, family, triple, measured, seed=cfg.seed)

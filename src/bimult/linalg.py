@@ -4,7 +4,7 @@ Matrices are 2-D complex128 ndarrays ("target x source" for operators).
 Everything here is a pure function of its inputs; results are fresh arrays.
 Factorizations are delegated to LAPACK through numpy, behind the small
 contracts the rest of the package relies on (descending singular values,
-clip-based PSD projection, Gram factors with an eigenvalue floor).
+clip-based PSD projection).
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ class ConvergenceError(RuntimeError):
     """An iterative factorization failed to converge."""
 
 
-class NotPSDError(ValueError):
-    """Input required to be positive semidefinite is not ("not_psd")."""
-
-
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-D complex128 array, validating finiteness."""
     m = np.asarray(a, dtype=np.complex128)
@@ -34,20 +30,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def hybrid_close(x, y, atol: float = 0.0, rtol: float = 0.0) -> bool:
-    """Hybrid comparison |x - y| <= atol + rtol*max(|x|, |y|), entrywise."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    bound = atol + rtol * np.maximum(np.abs(x), np.abs(y))
-    return bool(np.all(np.abs(x - y) <= bound))
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"shape: cannot multiply {a.shape} by {b.shape}")
-    return a @ b
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
@@ -123,22 +105,3 @@ def psd_project(h: np.ndarray) -> np.ndarray:
     w = np.clip(w, 0.0, None)
     out = (v * w) @ v.conj().T
     return 0.5 * (out + out.conj().T)
-
-
-def gram_factor(p: np.ndarray, floor: float | None = None) -> np.ndarray:
-    """Factor a PSD matrix as p ~= G.conj().T @ G; columns of G are the factors.
-
-    Eigenvalues below `floor` (default 1e-10 * largest eigenvalue) are dropped,
-    so G has one row per retained eigendirection.
-    """
-    w, v = eigh(p)
-    top = float(w[-1]) if w.size else 0.0
-    if w.size and float(w[0]) < -1e-10 * (1.0 + max(top, 0.0)):
-        raise NotPSDError(f"not_psd: min eigenvalue {w[0]:.3e}")
-    if floor is None:
-        floor = 1e-10 * max(top, 0.0)
-    keep = w > max(floor, 0.0)
-    w = w[keep]
-    v = v[:, keep]
-    # G[k, i] = sqrt(w_k) * conj(v[i, k])  =>  (G* G)[i, j] = sum_k v[i,k] w_k conj(v[j,k])
-    return (np.sqrt(w)[:, None]) * v.conj().T

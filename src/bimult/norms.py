@@ -12,8 +12,10 @@ Three kinds of quantities are produced:
   Each iterate certifies both sides: |D_u M D_v|_1 is a lower bound, and the
   exact factor rows read off the SVD of D_u M D_v give an upper bound (no
   external solver dependency);
-* the slice-reduction upper bound for the S1 multiplier norm of a Schur
-  kernel (``s1_norm_schur``): the largest per-slice gamma2 value.
+* the S1 multiplier norm of a Schur kernel (``s1_norm_schur``), bracketed
+  by the largest per-slice gamma2 value above and, below, by a witness built
+  from the gamma2 dual weights of the worst slice and refined by one run of
+  the trace ascent.
 
 Ascent restarts are initialized from unit-sphere Gaussians drawn from the
 seeded counter-based generator; restart r uses substream (seed, r), so
@@ -330,7 +332,10 @@ class Gamma2Result:
     norm at most ``value``.  The block matrix [[x_cert, M], [M*, y_cert]] is
     their Gram matrix, so it is PSD and both diagonals are capped by
     ``value``.  ``lower`` is the best |D_u M D_v|_1 over unit weights
-    u, v >= 0 that the iteration visited, and at least max |M_ij|.
+    u, v >= 0 that the iteration visited, and at least max |M_ij|.  ``u`` (one
+    weight per row) and ``v`` (one per column) attain it; they are the
+    matrix units at the entry of largest modulus when no step improved on
+    that entry, and the first basis vectors for the zero matrix.
     ``converged`` says whether ``value - lower <= tol``; ``iterations``
     counts fixed-point steps.
     """
@@ -344,6 +349,8 @@ class Gamma2Result:
     lower: float
     iterations: int
     converged: bool
+    u: np.ndarray
+    v: np.ndarray
 
 
 def _factor_value(a: np.ndarray, b: np.ndarray) -> float:
@@ -442,10 +449,15 @@ def gamma2(m: np.ndarray, tol: float = 1e-8) -> Gamma2Result:
     if not tol >= GAMMA2_MIN_TOL:
         raise ValueError(f"tol must be >= {GAMMA2_MIN_TOL:g}")
     n, k = m.shape
-    scale = float(np.abs(m).max())
+    mags = np.abs(m)
+    scale = float(mags.max())
+    i, j = np.unravel_index(int(np.argmax(mags)), m.shape)
+    u_best, v_best = np.zeros(n), np.zeros(k)
+    u_best[i] = v_best[j] = 1.0  # matrix-unit weights: |D_u M D_v|_1 = |M_ij|
     if scale == 0.0:
         return Gamma2Result(0.0, np.zeros((n, n)), np.zeros((k, k)),
-                            np.zeros((n, 0)), np.zeros((k, 0)), 0.0, 0.0, 0, True)
+                            np.zeros((n, 0)), np.zeros((k, 0)), 0.0, 0.0, 0, True,
+                            u_best, v_best)
     ms = m / scale
     lo, hi = 1.0, np.inf  # the largest entry modulus is always a lower bound
     a_best = b_best = None
@@ -455,7 +467,8 @@ def gamma2(m: np.ndarray, tol: float = 1e-8) -> Gamma2Result:
     while hi * scale - lo * scale > tol and iterations < _MAX_ITER and step > 1e-14:
         iterations += 1
         trace, a, b, row_mass, col_mass = _weighted_step(ms, p, q)
-        lo = max(lo, trace)
+        if trace > lo:
+            lo, u_best, v_best = trace, np.sqrt(p), np.sqrt(q)
         if _interpolates(a, b, ms):
             cand = (_factor_value(a, b), a, b)
         else:
@@ -486,26 +499,38 @@ def gamma2(m: np.ndarray, tol: float = 1e-8) -> Gamma2Result:
     primal_residual = float(np.linalg.norm(recon - m))
     value, lower = hi * scale, lo * scale
     return Gamma2Result(value, x_cert, y_cert, a_vecs, b_vecs, primal_residual,
-                        lower, iterations, value - lower <= tol)
+                        lower, iterations, value - lower <= tol, u_best, v_best)
 
 
 def s1_norm_schur(s: SchurSymbol, tol: float = 1e-6,
                   restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> tuple[float, NormEstimate]:
-    """S1 multiplier norm of a Schur kernel: slice-gamma2 upper bound + ascent lower bound.
+    """S1 multiplier norm of a Schur kernel: slice-gamma2 upper bound + witness lower bound.
 
     The middle index decouples the factorization slice by slice, so the exact
-    norm is max_t2 gamma2(slice(t2)) once each slice is rebalanced; the ascent
-    lower bound must stay below it (a violation is an internal error).
+    norm is max_t2 gamma2(slice(t2)); the largest gamma2 ``value`` is the
+    upper bound.  The lower bound is a witness read off the dual weights
+    (u, v) of the slice t2* with the largest gamma2 ``lower``: the unit
+    inputs x = e_t2* (x) u, y = v (x) e_t2* give the action D_v M_t2*^T D_u,
+    whose trace norm is that ``lower``.  One run of the trace ascent from
+    this witness refines it; the ascent does not decrease the value and keeps
+    the witness on slice t2*, so it stays below gamma2 of that slice (a
+    violation of the upper bound is an internal error).  ``restarts`` is
+    validated but, like ``seed``, does not change the result; the estimate
+    reports one restart, and its refinement steps as ``iterations``.
     """
-    if sup_norm(s) == 0.0:
-        lower = norm_bilinear(s, "S1", restarts=restarts, seed=seed)
-        return 0.0, lower
-    upper = 0.0
-    for t2 in range(s.dims[1]):
-        upper = max(upper, gamma2(s.slice_at(t2), tol).value)
-    lower = norm_bilinear(s, "S1", restarts=restarts, seed=seed)
-    if lower.value > upper * (1.0 + 1e-6):
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    n1, n2, n3 = s.dims
+    results = [gamma2(s.slice_at(t2), tol) for t2 in range(n2)]
+    upper = max(res.value for res in results)
+    top = int(np.argmax([res.lower for res in results]))
+    x0 = np.zeros((1, n2, n1), dtype=np.complex128)
+    y0 = np.zeros((1, n3, n2), dtype=np.complex128)
+    x0[0, top, :] = results[top].u
+    y0[0, :, top] = results[top].v
+    val, x, y, iters = _ascend_trace(*_schur_trace_maps(s), x0, y0)
+    if val > upper * (1.0 + 1e-6):
         raise RuntimeError(
-            f"s1_norm_schur: ascent lower bound {lower.value} exceeds slice upper bound {upper}"
+            f"s1_norm_schur: witness lower bound {val} exceeds slice upper bound {upper}"
         )
-    return upper, lower
+    return upper, NormEstimate(val, "lower_bound", [x[0]], [y[0]], 1, iters)

@@ -9,20 +9,6 @@ import numpy as np
 from scipy.optimize import minimize
 
 
-def naive_matmul(a, b):
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m), dtype=complex)
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0 + 0.0j
-            for r in range(k):
-                acc += a[i, r] * b[r, j]
-            out[i, j] = acc
-    return out
-
-
 def naive_schur_action(s, y, x):
     """Direct triple-loop summation of the kernel formula."""
     n1, n2, n3 = s.shape

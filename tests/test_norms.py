@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from bimult.norms import (GAMMA2_MIN_TOL, Gamma2Result, amplified_norm, evaluate
 from bimult.symbols import SchurSymbol, complex_normal, embed_schur, make_rng, sup_norm
 
 from _oracles import gamma2_minimax_oracle
+from test_acceptance import BASE_SEED
 
 
 def rand_schur(seed, dims):
@@ -83,14 +86,25 @@ def test_gamma2_hadamard_matches_oracle():
 
 
 def certificate_checks(m, res: Gamma2Result):
+    """Both sides of the bracket, with gates relative to the size of m."""
     n, k = m.shape
     block = np.block([[res.x_cert, m], [m.conj().T, res.y_cert]])
     block = 0.5 * (block + block.conj().T)
     assert np.linalg.eigvalsh(block)[0] >= -1e-8 * (1 + res.value)
-    assert np.real(np.diagonal(res.x_cert)).max() <= res.value + 1e-6
-    assert np.real(np.diagonal(res.y_cert)).max() <= res.value + 1e-6
+    assert np.real(np.diagonal(res.x_cert)).max() <= res.value * (1 + 1e-12)
+    assert np.real(np.diagonal(res.y_cert)).max() <= res.value * (1 + 1e-12)
     recon = res.a_vecs.conj() @ res.b_vecs.T
-    assert np.abs(recon - m).max() <= 1e-6
+    assert np.abs(recon - m).max() <= 1e-9 * (1 + np.abs(m).max())
+    weight_checks(m, res)
+
+
+def weight_checks(m, res: Gamma2Result):
+    """The dual weights are unit, nonnegative, and attain ``lower``."""
+    for w, size in ((res.u, m.shape[0]), (res.v, m.shape[1])):
+        assert w.shape == (size,) and np.all(w >= 0)
+        assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+    attained = np.linalg.svd(res.u[:, None] * m * res.v, compute_uv=False).sum()
+    assert abs(attained - res.lower) <= 1e-12 * res.lower
 
 
 def test_gamma2_certificates_random_complex():
@@ -164,6 +178,27 @@ def test_gamma2_zero_matrix_bracket():
     res = gamma2(np.zeros((2, 3)))
     assert res.value == res.lower == 0.0
     assert res.converged and res.iterations == 0
+    assert np.array_equal(res.u, [1.0, 0.0]) and np.array_equal(res.v, [1.0, 0.0, 0.0])
+    certificate_checks(np.zeros((2, 3), dtype=complex), res)
+
+
+@pytest.mark.parametrize("tol", [1e-2, 1e-6, GAMMA2_MIN_TOL])
+@pytest.mark.parametrize("zero_row", [None, 0, 2])
+def test_gamma2_weights_attain_lower(zero_row, tol):
+    m = complex_normal(make_rng(64), (3, 4))
+    if zero_row is not None:
+        m[zero_row] = 0.0
+    weight_checks(m, gamma2(m, tol=tol))
+
+
+def test_gamma2_weights_start_at_the_largest_entry():
+    # gamma2 is the largest entry, so no step beats the matrix units at that entry
+    m = np.ones((3, 3))
+    m[1, 2] = 2.0
+    res = gamma2(m, tol=1e-2)
+    assert res.lower == 2.0
+    assert np.array_equal(res.u, [0.0, 1.0, 0.0]) and np.array_equal(res.v, [0.0, 0.0, 1.0])
+    weight_checks(m, res)
 
 
 def test_gamma2_reports_a_bracket_that_cannot_close():
@@ -175,6 +210,7 @@ def test_gamma2_reports_a_bracket_that_cannot_close():
     scale = np.abs(m).max()
     assert scale <= res.lower <= res.value <= res.lower * (1 + 1e-6)
     assert np.abs(res.a_vecs.conj() @ res.b_vecs.T - m).max() <= 1e-9 * scale
+    certificate_checks(m, res)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -208,6 +244,56 @@ def test_s1_norm_schur_middle_only_dependence():
 def test_s1_norm_schur_zero():
     upper, lower = s1_norm_schur(SchurSymbol(np.zeros((2, 2, 2))), restarts=2, seed=0)
     assert upper == 0.0 and lower.value == 0.0
+
+
+def slice_sum(s, x, y):
+    """The action out[t3, t1], summed slice by slice: y[t3, t2] M_t2[t1, t3] x[t2, t1]."""
+    return sum(y[:, t2, None] * s.slice_at(t2).T * x[t2] for t2 in range(s.dims[1]))
+
+
+def _zero_slice_kernel():
+    data = complex_normal(make_rng(65), (3, 3, 2))
+    data[:, 1, :] = 0.0
+    return SchurSymbol(data)
+
+
+@pytest.mark.parametrize("s", [rand_schur(66, (3, 2, 3)), _zero_slice_kernel(),
+                               SchurSymbol(np.zeros((2, 3, 2)))],
+                         ids=["generic", "zero-slice", "all-zero"])
+def test_s1_norm_schur_witness_reproduces_lower(s):
+    upper, lower = s1_norm_schur(s)
+    x, y = lower.witness_x[0], lower.witness_y[0]
+    assert abs(np.linalg.norm(x) - 1.0) <= 1e-12 and abs(np.linalg.norm(y) - 1.0) <= 1e-12
+    by_action = evaluate_bilinear(s, "S1", x, y)
+    by_slices = np.linalg.svd(slice_sum(s, x, y), compute_uv=False).sum()
+    for value in (by_action, by_slices):
+        assert abs(value - lower.value) <= 1e-12 * (1 + lower.value)
+    # the witness stays on the slice with the largest gamma2 lower bound
+    rows = np.flatnonzero(np.abs(x).sum(axis=1))
+    cols = np.flatnonzero(np.abs(y).sum(axis=0))
+    assert len(rows) == 1 and np.array_equal(rows, cols)
+    slices = [gamma2(s.slice_at(t2), 1e-6) for t2 in range(s.dims[1])]
+    assert rows[0] == np.argmax([res.lower for res in slices])
+    assert slices[rows[0]].lower * (1 - 1e-12) <= lower.value <= upper * (1 + 1e-6)
+    assert lower.restarts_used == 1 and lower.iterations >= 1
+
+
+def test_s1_norm_schur_witness_not_below_restarted_ascent():
+    # the kernels of acceptance criterion 05
+    for i in range(50):
+        s = SchurSymbol(complex_normal(make_rng(BASE_SEED, 5, i), (3, 2, 3)))
+        upper, lower = s1_norm_schur(s)
+        ascent = norm_bilinear(s, "S1", restarts=20, seed=BASE_SEED + i)
+        assert lower.value >= ascent.value - 1e-9 * upper
+
+
+def test_s1_norm_schur_ignores_restarts_and_seed():
+    s = rand_schur(67, (3, 2, 3))
+    first = pickle.dumps(s1_norm_schur(s, restarts=1, seed=0))
+    for restarts, seed in ((20, 0), (5, 99)):
+        assert pickle.dumps(s1_norm_schur(s, restarts=restarts, seed=seed)) == first
+    with pytest.raises(ValueError):
+        s1_norm_schur(s, restarts=0)
 
 
 def test_amplified_level_one_matches_bilinear():
