@@ -16,7 +16,8 @@ from .linalg import (ConvergenceError, ShapeError, SVDResult, adjoint, kron, psd
 from .multiplier import (ModularityMethodMismatch, PairSymbol, apply_schur, apply_tau,
                          elementary_pair, extract_U, is_modular, tau1_apply, tau3_apply)
 from .norms import (GAMMA2_MIN_TOL, Gamma2Result, NormEstimate, amplified_norm,
-                    evaluate_amplified, evaluate_bilinear, gamma2, norm_bilinear, s1_norm_schur)
+                    evaluate_amplified, evaluate_bilinear, gamma2, norm_bilinear, s1_norm_schur,
+                    slice_gamma2)
 from .symbols import (SchurSymbol, Symbol3, as_operator, elementary_symbol, embed_schur,
                       make_rng, random_symbol_in, sup_norm)
 

@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factorize", help="slice factorization and weak factorization")
     common(p)
     p.add_argument("--truncate", type=int, default=0,
-                   help="drop this many trailing family members before verification")
+                   help="drop this many (>= 0) trailing family members before verification")
 
     p = sub.add_parser("verify-modular", help="membership and modularity of a symbol")
     common(p)
@@ -109,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("amplify", help="amplified trace-norm lower bounds, levels 1..n")
     common(p)
-    p.add_argument("--n", type=int, default=2, help="largest amplification level")
+    p.add_argument("--n", type=int, default=2, help="largest amplification level, >= 1")
 
     p = sub.add_parser("selftest", help="run the bundled verification suites")
     common(p, needs_input=False)
@@ -119,6 +119,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> RunConfig:
+    # command flags are checked here, with --tol, before any input is read
+    if getattr(args, "n", 1) < 1:
+        raise ValueError("--n must be >= 1")
+    if getattr(args, "truncate", 0) < 0:
+        raise ValueError("--truncate must be >= 0")
     seed = args.seed if args.seed is not None else _env_int("BIMULT_SEED", 0)
     restarts = args.restarts if args.restarts is not None else _env_int("BIMULT_RESTARTS", 20)
     return RunConfig(command=args.command, seed=seed, restarts=restarts,
@@ -289,8 +294,6 @@ def _cmd_verify_factorization(args, cfg: RunConfig) -> tuple[dict, int]:
 def _cmd_amplify(args, cfg: RunConfig) -> tuple[dict, int]:
     sym = _load_symbol(args.input)
     phi = embed_schur(sym) if isinstance(sym, SchurSymbol) else sym
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
     levels = {}
     for level in range(1, args.n + 1):
         est = amplified_norm(phi, level, "s1", restarts=cfg.restarts, seed=cfg.seed)

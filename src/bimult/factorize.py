@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import AlgebraTriple, pair_membership_residual
 from .linalg import ShapeError, schatten_norm
 from .multiplier import PairSymbol, tau1_apply, tau3_apply
-from .norms import gamma2
+from .norms import slice_gamma2
 from .symbols import SchurSymbol, Symbol3, complex_normal, make_rng, sup_norm
 
 
@@ -101,13 +101,17 @@ def synthesize_u(f: FactorFamily) -> Symbol3:
 def schur_s1_factorize(s: SchurSymbol, tol: float = 1e-8) -> tuple[VectorField, VectorField]:
     """Hilbert-space factorization s[t1,t2,t3] = <a(t1,t2), b(t2,t3)>.
 
-    Runs gamma2 on every middle-index slice, embeds the per-slice factor
-    vectors into a common ambient dimension (the largest slice rank, smaller
-    slices zero-padded) and keeps the per-slice balancing, so the product of
-    the two sup norms equals the largest slice gamma2 value.
+    Takes the gamma2 result of every middle-index slice from
+    ``norms.slice_gamma2``, which solves them once per symbol and tolerance,
+    so this shares the solve with ``s1_norm_schur`` on the same symbol at
+    the same ``tol`` (the defaults differ: 1e-8 here, 1e-6 there).  Embeds
+    the per-slice factor vectors into a common ambient dimension (the
+    largest slice rank, smaller slices zero-padded) and keeps the per-slice
+    balancing, so the product of the two sup norms equals the largest slice
+    gamma2 value.
     """
     n1, n2, n3 = s.dims
-    results = [gamma2(s.slice_at(t2), tol) for t2 in range(n2)]
+    results = slice_gamma2(s, tol)
     k = max((r.a_vecs.shape[1] for r in results), default=0)
     a_field = np.zeros((n1, n2, k), dtype=np.complex128)
     b_field = np.zeros((n2, n3, k), dtype=np.complex128)

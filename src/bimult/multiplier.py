@@ -88,22 +88,21 @@ def apply_tau(phi: Symbol3, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("ajcdie,ec,da->ij", phi.data, y, x)
 
 
-def tau1_apply(a: PairSymbol, x: np.ndarray) -> np.ndarray:
-    """One-sided action on the first leg pair: R (x) S acts as x -> S x R."""
-    d1, d2 = a.leg_dims
+def tau1_apply(p: PairSymbol, x: np.ndarray) -> np.ndarray:
+    """One-sided action of a pair symbol: R (x) S acts as x -> S x R.
+
+    On the first leg pair this is tau1 (x is d2 x d1); on the last leg pair,
+    S (x) T acting as y -> T y S, it is tau3 (y is d3 x d2).  Both are the
+    same contraction, so ``tau3_apply`` is this function.
+    """
+    da, db = p.leg_dims
     x = as_matrix(x)
-    if x.shape != (d2, d1):
-        raise ShapeError(f"shape: x must be {(d2, d1)}, got {x.shape}")
-    return np.einsum("pjiq,qp->ij", a.data, x)
+    if x.shape != (db, da):
+        raise ShapeError(f"shape: input must be {(db, da)}, got {x.shape}")
+    return np.einsum("pjiq,qp->ij", p.data, x)
 
 
-def tau3_apply(b: PairSymbol, y: np.ndarray) -> np.ndarray:
-    """One-sided action on the last leg pair: S (x) T acts as y -> T y S."""
-    d2, d3 = b.leg_dims
-    y = as_matrix(y)
-    if y.shape != (d3, d2):
-        raise ShapeError(f"shape: y must be {(d3, d2)}, got {y.shape}")
-    return np.einsum("pjiq,qp->ij", b.data, y)
+tau3_apply = tau1_apply
 
 
 def extract_U(phi: Symbol3, which: int) -> np.ndarray:

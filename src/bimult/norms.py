@@ -17,6 +17,13 @@ Three kinds of quantities are produced:
   from the gamma2 dual weights of the worst slice and refined by one run of
   the trace ascent.
 
+The per-slice gamma2 results of a Schur kernel (``slice_gamma2``) are solved
+once per symbol and tolerance and kept on the symbol, so ``s1_norm_schur``
+and ``factorize.schur_s1_factorize`` read the same optimum: the norm is its
+largest value and the factor fields are its factors.  Only calls with equal
+``tol`` share a solve, and the two functions' defaults differ (1e-6 and
+1e-8).
+
 Ascent restarts are initialized from unit-sphere Gaussians drawn from the
 seeded counter-based generator; restart r uses substream (seed, r), so
 estimates are nondecreasing in the number of restarts for a fixed seed.
@@ -322,7 +329,7 @@ _RELAX = 1.8  # over-relaxation of the weight update, applied in log space
 _MAX_ITER = 5000  # fixed-point iterations before gamma2 gives up on ``tol``
 
 
-@dataclass
+@dataclass(frozen=True)
 class Gamma2Result:
     """Certified bracket ``lower <= gamma2(M) <= value`` with its certificates.
 
@@ -337,7 +344,8 @@ class Gamma2Result:
     matrix units at the entry of largest modulus when no step improved on
     that entry, and the first basis vectors for the zero matrix.
     ``converged`` says whether ``value - lower <= tol``; ``iterations``
-    counts fixed-point steps.
+    counts fixed-point steps.  The result is frozen; the results that
+    ``slice_gamma2`` shares between callers also have read-only arrays.
     """
 
     value: float
@@ -502,16 +510,39 @@ def gamma2(m: np.ndarray, tol: float = 1e-8) -> Gamma2Result:
                         lower, iterations, value - lower <= tol, u_best, v_best)
 
 
+def slice_gamma2(s: SchurSymbol, tol: float = 1e-8) -> tuple[Gamma2Result, ...]:
+    """``gamma2(s.slice_at(t2), tol)`` for every middle index t2, solved once.
+
+    The first call for a given ``tol`` solves every slice and stores the
+    tuple on the symbol, with every result array read-only; later calls with
+    an equal ``tol`` return that same tuple.  The symbol's data is read-only,
+    so a stored result cannot go stale.  A ``tol`` that gamma2 rejects raises
+    and stores nothing.
+    """
+    key = float(tol)
+    results = s._slice_gamma2.get(key)
+    if results is None:
+        results = tuple(gamma2(s.slice_at(t2), tol) for t2 in range(s.dims[1]))
+        for res in results:
+            for arr in (res.x_cert, res.y_cert, res.a_vecs, res.b_vecs, res.u, res.v):
+                arr.setflags(write=False)
+        s._slice_gamma2[key] = results
+    return results
+
+
 def s1_norm_schur(s: SchurSymbol, tol: float = 1e-6,
                   restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> tuple[float, NormEstimate]:
     """S1 multiplier norm of a Schur kernel: slice-gamma2 upper bound + witness lower bound.
 
     The middle index decouples the factorization slice by slice, so the exact
     norm is max_t2 gamma2(slice(t2)); the largest gamma2 ``value`` is the
-    upper bound.  The lower bound is a witness read off the dual weights
-    (u, v) of the slice t2* with the largest gamma2 ``lower``: the unit
-    inputs x = e_t2* (x) u, y = v (x) e_t2* give the action D_v M_t2*^T D_u,
-    whose trace norm is that ``lower``.  One run of the trace ascent from
+    upper bound.  The slice results come from ``slice_gamma2``, so they are
+    shared with ``schur_s1_factorize`` on the same symbol at the same
+    ``tol`` (the defaults differ: 1e-6 here, 1e-8 there).  The lower bound
+    is a witness read off the dual weights (u, v) of the slice t2* with the
+    largest gamma2 ``lower``: the unit inputs x = e_t2* (x) u,
+    y = v (x) e_t2* give the action D_v M_t2*^T D_u, whose trace norm is
+    that ``lower``.  One run of the trace ascent from
     this witness refines it; the ascent does not decrease the value and keeps
     the witness on slice t2*, so it stays below gamma2 of that slice (a
     violation of the upper bound is an internal error).  ``restarts`` is
@@ -521,7 +552,7 @@ def s1_norm_schur(s: SchurSymbol, tol: float = 1e-6,
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     n1, n2, n3 = s.dims
-    results = [gamma2(s.slice_at(t2), tol) for t2 in range(n2)]
+    results = slice_gamma2(s, tol)
     upper = max(res.value for res in results)
     top = int(np.argmax([res.lower for res in results]))
     x0 = np.zeros((1, n2, n1), dtype=np.complex128)

@@ -16,7 +16,7 @@ convention every contraction in this package is written against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -54,12 +54,23 @@ def _validate(data: np.ndarray, ndim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SchurSymbol:
-    """3-index kernel s[t1, t2, t3] over finite sets with counting measure."""
+    """3-index kernel s[t1, t2, t3] over finite sets with counting measure.
+
+    ``data`` is read-only, so results derived from it can be kept on the
+    symbol: ``norms.slice_gamma2`` stores its per-slice gamma2 results in
+    ``_slice_gamma2``, keyed by tolerance.  That store takes no part in
+    ``repr``, equality or pickling.
+    """
 
     data: np.ndarray
+    _slice_gamma2: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "data", _validate(self.data, 3))
+
+    def __reduce__(self):
+        # rebuild through __init__: read-only data again, and an empty store
+        return (SchurSymbol, (self.data,))
 
     @property
     def dims(self) -> tuple[int, int, int]:

@@ -155,6 +155,24 @@ def test_factorize_cli_and_truncation(workdir, capsys):
     assert payload["report"]["synthesis_residual"] > 1e-6
 
 
+def test_factorize_rejects_negative_truncate(workdir, capsys):
+    code = main(["factorize", "--input", workdir["rand.json"], "--truncate", "-3"])
+    assert code == 3
+    assert "--truncate must be >= 0" in capsys.readouterr().err
+    code, out = run_cli(capsys, "factorize", "--input", workdir["rand.json"],
+                        "--tol", "1e-4", "--truncate", "0")
+    assert code == 0 and json.loads(out)["report"]["passed"] is True
+
+
+def test_amplify_level_checked_before_input(workdir, capsys):
+    missing = str(workdir["dir"] / "missing.json")
+    for n in ("0", "-1"):
+        code = main(["amplify", "--input", missing, "--n", n])
+        assert code == 3
+        assert "--n must be >= 1" in capsys.readouterr().err
+    assert main(["amplify", "--input", missing, "--n", "1"]) == 2  # then the input is read
+
+
 def test_verify_modular_cli(workdir, capsys):
     code, out = run_cli(capsys, "verify-modular", "--input", workdir["rand.json"],
                         "--algebras", "diagonal,diagonal,diagonal")

@@ -1,13 +1,18 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+import bimult.io as bio
+import bimult.norms
 from bimult.algebra import AlgebraTriple, preset_algebra
 from bimult.factorize import (FactorFamily, VectorField, col_wnorm, opmul_symbol,
                               row_wnorm, schur_s1_factorize, synthesize_u,
                               to_weak_factorization, verify_factorization)
 from bimult.linalg import ShapeError, schatten_norm
 from bimult.multiplier import PairSymbol, apply_tau, elementary_pair
-from bimult.norms import gamma2, norm_bilinear
+from bimult.norms import gamma2, norm_bilinear, s1_norm_schur, slice_gamma2
 from bimult.symbols import (SchurSymbol, complex_normal, elementary_symbol,
                             embed_schur, make_rng)
 
@@ -109,6 +114,87 @@ def test_schur_factorize_random_round_trip():
     assert np.abs(recon - s.data).max() <= 1e-6 * (1 + np.abs(s.data).max())
     best = max(gamma2(s.slice_at(t2), tol=1e-3).value for t2 in range(2))
     assert a.sup_norm() * b.sup_norm() <= (1 + 1e-4) * best
+
+
+def _counting_gamma2(monkeypatch):
+    calls = []
+    solve = bimult.norms.gamma2
+
+    def counted(m, tol=1e-8):
+        calls.append(float(tol))
+        return solve(m, tol)
+
+    monkeypatch.setattr(bimult.norms, "gamma2", counted)
+    return calls
+
+
+def test_slice_gamma2_solves_each_slice_once_per_tol(monkeypatch):
+    calls = _counting_gamma2(monkeypatch)
+    s = SchurSymbol(complex_normal(make_rng(508), (3, 4, 2)))
+    n2 = s.dims[1]
+    s1_norm_schur(s, tol=1e-6)
+    schur_s1_factorize(s, tol=1e-6)
+    assert calls == [1e-6] * n2
+    schur_s1_factorize(s, tol=1e-5)
+    s1_norm_schur(s, tol=1e-5)
+    assert calls == [1e-6] * n2 + [1e-5] * n2
+    assert slice_gamma2(s, 1e-6) is slice_gamma2(s, np.float64(1e-6))
+    assert len(calls) == 2 * n2
+
+
+def _outputs(norm_sym, fact_sym, tol):
+    a, b = schur_s1_factorize(fact_sym, tol=tol)
+    return pickle.dumps(s1_norm_schur(norm_sym, tol=tol)), a.vectors.tobytes(), b.vectors.tobytes()
+
+
+@pytest.mark.parametrize("norm_first", [True, False], ids=["norm-first", "factorize-first"])
+def test_shared_slice_solve_is_byte_identical(norm_first):
+    data = complex_normal(make_rng(509), (3, 3, 3))
+    want = _outputs(SchurSymbol(data), SchurSymbol(data), 1e-6)  # a fresh symbol per call
+    s = SchurSymbol(data)
+    if norm_first:
+        norm = pickle.dumps(s1_norm_schur(s, tol=1e-6))
+        a, b = schur_s1_factorize(s, tol=1e-6)
+    else:
+        a, b = schur_s1_factorize(s, tol=1e-6)
+        norm = pickle.dumps(s1_norm_schur(s, tol=1e-6))
+    assert (norm, a.vectors.tobytes(), b.vectors.tobytes()) == want
+    assert _outputs(s, s, 1e-6) == want  # and again, fully warm
+
+
+def test_slice_gamma2_rejected_tol_stores_nothing():
+    s = SchurSymbol(complex_normal(make_rng(510), (2, 3, 2)))
+    with pytest.raises(ValueError):
+        s1_norm_schur(s, tol=1e-11)
+    with pytest.raises(ValueError):
+        schur_s1_factorize(s, tol=1e-11)
+    assert s._slice_gamma2 == {}
+    upper, _ = s1_norm_schur(s, tol=1e-6)
+    assert upper == max(r.value for r in slice_gamma2(s, 1e-6))
+    assert list(s._slice_gamma2) == [1e-6]
+
+
+def test_slice_gamma2_store_is_invisible():
+    s = SchurSymbol(complex_normal(make_rng(511), (2, 2, 3)))
+    before = (repr(s), bio.schur_to_json(s))
+    s1_norm_schur(s)
+    schur_s1_factorize(s)
+    assert (repr(s), bio.schur_to_json(s)) == before
+    assert "_slice_gamma2" not in repr(s)
+    for twin in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+        assert twin._slice_gamma2 == {}
+        assert not twin.data.flags.writeable
+        assert np.array_equal(twin.data, s.data)
+
+
+def test_slice_gamma2_results_are_read_only():
+    s = SchurSymbol(complex_normal(make_rng(512), (3, 2, 3)))
+    for res in slice_gamma2(s, 1e-6):
+        for arr in (res.x_cert, res.y_cert, res.a_vecs, res.b_vecs, res.u, res.v):
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+        with pytest.raises(AttributeError):
+            res.value = 0.0
 
 
 def test_weak_factorization_round_trip():

@@ -127,6 +127,13 @@ def test_tau3_elementary_and_op_multiplicativity():
     assert np.abs(lhs - rhs).max() <= 1e-12 * (1 + np.abs(rhs).max())
 
 
+def test_tau3_is_the_tau1_contraction():
+    assert tau3_apply is tau1_apply
+    pair = PairSymbol(np.zeros((2, 2, 3, 3)))
+    with pytest.raises(ShapeError):
+        tau1_apply(pair, np.zeros((2, 3)))  # must be 3 x 2
+
+
 def test_extract_u_elementary_pattern():
     rng = make_rng(409)
     r = complex_normal(rng, (2, 2))
