@@ -11,8 +11,7 @@ from .algebra import (AlgebraTriple, MatrixAlgebra, commutant, conditional_expec
 from .factorize import (FactorFamily, FactorizationReport, VectorField, col_wnorm,
                         opmul_symbol, row_wnorm, schur_s1_factorize, synthesize_u,
                         to_weak_factorization, verify_factorization)
-from .linalg import (ConvergenceError, ShapeError, SVDResult, adjoint, kron, psd_project,
-                     schatten_norm, svd)
+from .linalg import ConvergenceError, ShapeError, SVDResult, psd_project, schatten_norm, svd
 from .multiplier import (ModularityMethodMismatch, PairSymbol, apply_schur, apply_tau,
                          elementary_pair, extract_U, is_modular, tau1_apply, tau3_apply)
 from .norms import (GAMMA2_MIN_TOL, Gamma2Result, NormEstimate, amplified_norm,

@@ -54,6 +54,8 @@ class RunConfig:
             raise ValueError(f"tolerance {self.tolerance:g} outside [{lo:g}, {hi:g}]")
         if not 1 <= self.restarts <= 10000:
             raise ValueError(f"restarts {self.restarts} outside [1, 10000]")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be >= 0")
 
 
 def _env_int(name: str, default: int) -> int:

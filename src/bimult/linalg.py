@@ -32,16 +32,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T.copy()
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, index order (i_a * rows_b + i_b)."""
-    return np.kron(a, b)
-
-
 @dataclass(frozen=True)
 class SVDResult:
     """Thin SVD a = u @ diag(sigma) @ v.conj().T, sigma descending."""

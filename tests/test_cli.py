@@ -84,7 +84,7 @@ def test_norm_s2_reports_exact_value(workdir, capsys):
                         "--target", "s2", "--restarts", "10", "--seed", "1")
     assert code == 0
     payload = json.loads(out)
-    assert abs(payload["lower_bound"]["value"] - payload["exact_value"]) <= 1e-3
+    assert payload["lower_bound"]["value"] == payload["exact_value"]
     assert payload["lower_bound"]["kind"] == "lower_bound"
 
 
@@ -171,6 +171,19 @@ def test_amplify_level_checked_before_input(workdir, capsys):
         assert code == 3
         assert "--n must be >= 1" in capsys.readouterr().err
     assert main(["amplify", "--input", missing, "--n", "1"]) == 2  # then the input is read
+
+
+def test_negative_seed_checked_before_input(workdir, capsys, monkeypatch):
+    missing = str(workdir["dir"] / "missing.json")
+    for argv in (["norm", "--input", workdir["rand.json"], "--target", "s1"],
+                 ["amplify", "--input", missing]):
+        assert main([*argv, "--seed", "-1"]) == 3
+        assert "seed -1 must be >= 0" in capsys.readouterr().err
+        monkeypatch.setenv("BIMULT_SEED", "-1")
+        assert main(argv) == 3
+        assert "seed -1 must be >= 0" in capsys.readouterr().err
+        monkeypatch.delenv("BIMULT_SEED")
+    assert main(["amplify", "--input", missing, "--seed", "0"]) == 2  # then the input is read
 
 
 def test_verify_modular_cli(workdir, capsys):

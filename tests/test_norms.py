@@ -7,7 +7,7 @@ from bimult.norms import (GAMMA2_MIN_TOL, Gamma2Result, amplified_norm, evaluate
                           evaluate_bilinear, gamma2, norm_bilinear, s1_norm_schur)
 from bimult.symbols import SchurSymbol, complex_normal, embed_schur, make_rng, sup_norm
 
-from _oracles import gamma2_minimax_oracle
+from _oracles import gamma2_minimax_oracle, naive_schur_action
 from test_acceptance import BASE_SEED
 
 
@@ -48,7 +48,10 @@ def test_norm_bilinear_witnesses_reproduce_value():
         est = norm_bilinear(s, target, restarts=5, seed=2)
         redo = evaluate_bilinear(s, target, est.witness_x[0], est.witness_y[0])
         assert abs(redo - est.value) <= 1e-9 * (1 + est.value)
-        assert 1 <= est.restarts_used <= 5 and est.iterations > 0
+        if target == "S1":
+            assert 1 <= est.restarts_used <= 5 and est.iterations > 0
+        else:  # the closed form runs no ascent
+            assert est.iterations == 0 and est.restarts_used == 1
 
 
 def test_norm_bilinear_determinism_and_restart_monotonicity():
@@ -66,6 +69,38 @@ def test_norm_bilinear_validation():
         norm_bilinear(s, "S3")
     with pytest.raises(ValueError):
         norm_bilinear(s, "S2", restarts=0)
+
+
+@pytest.mark.parametrize("s", [rand_schur(24, (3, 4, 2)), SchurSymbol(np.zeros((2, 3, 2))),
+                               SchurSymbol(np.full((1, 1, 1), 0.5 - 3.0j))],
+                         ids=["generic", "all-zero", "1x1x1"])
+@pytest.mark.parametrize("target", ["S2", "B"])
+def test_norm_bilinear_closed_form(s, target):
+    est = norm_bilinear(s, target)
+    assert est.value == sup_norm(s) and est.kind == "lower_bound"
+    assert est.restarts_used == 1 and est.iterations == 0
+    t1, t2, t3 = np.unravel_index(np.argmax(np.abs(s.data)), s.dims)
+    n1, n2, n3 = s.dims
+    x, y = est.witness_x[0], est.witness_y[0]
+    unit_x = np.zeros((n2, n1))
+    unit_x[t2, t1] = 1.0
+    unit_y = np.zeros((n3, n2))
+    unit_y[t3, t2] = 1.0
+    assert np.array_equal(x, unit_x) and np.array_equal(y, unit_y)
+    naive = naive_schur_action(s.data, y, x)
+    by_loops = np.linalg.norm(naive) if target == "S2" else np.linalg.svd(naive, compute_uv=False)[0]
+    for value in (evaluate_bilinear(s, target, x, y), by_loops):
+        assert abs(value - est.value) <= 1e-12 * (1 + est.value)
+
+
+@pytest.mark.parametrize("target", ["S2", "B"])
+def test_norm_bilinear_closed_form_ignores_restarts_and_seed(target):
+    s = rand_schur(25, (3, 2, 4))
+    first = pickle.dumps(norm_bilinear(s, target, restarts=1, seed=0))
+    for restarts, seed in ((20, 0), (5, 99)):
+        assert pickle.dumps(norm_bilinear(s, target, restarts=restarts, seed=seed)) == first
+    with pytest.raises(ValueError):
+        norm_bilinear(s, target, restarts=0)
 
 
 def test_gamma2_trivial_values():
