@@ -197,14 +197,13 @@ def _cmd_norm(args, cfg: RunConfig) -> tuple[dict, int]:
     if isinstance(sym, Symbol3):
         if target != "s1":
             raise ShapeError("shape: S2/B norms are defined here for Schur kernels only")
-        est = amplified_norm(sym, 1, "s1", restarts=cfg.restarts, seed=cfg.seed)
+        est = amplified_norm(sym, 1, restarts=cfg.restarts, seed=cfg.seed)
         return {"target": target, "lower_bound": _estimate_json(est, args.witnesses)}, EXIT_OK
     if target == "s1":
-        upper, lower = s1_norm_schur(sym, tol=cfg.tolerance,
-                                     restarts=cfg.restarts, seed=cfg.seed)
+        upper, lower = s1_norm_schur(sym, tol=cfg.tolerance)
         return {"target": target, "upper_bound": upper,
                 "lower_bound": _estimate_json(lower, args.witnesses)}, EXIT_OK
-    est = norm_bilinear(sym, target, restarts=cfg.restarts, seed=cfg.seed)
+    est = norm_bilinear(sym, target)
     return {"target": target, "exact_value": sup_norm(sym),
             "lower_bound": _estimate_json(est, args.witnesses)}, EXIT_OK
 
@@ -255,8 +254,8 @@ def _cmd_factorize(args, cfg: RunConfig) -> tuple[dict, int]:
         family = FactorFamily(a_list=family.a_list[:keep], b_list=family.b_list[:keep],
                               dims=family.dims)
     phi = embed_schur(sym)
-    measured = s1_norm_schur(sym, tol=cfg.tolerance, restarts=cfg.restarts, seed=cfg.seed)[1]
-    report = verify_factorization(phi, family, _full_triple(phi.dims), measured, seed=cfg.seed)
+    measured = s1_norm_schur(sym, tol=cfg.tolerance)[1]
+    report = verify_factorization(phi, family, _full_triple(phi.dims), measured)
     payload = {
         "a_field": bio.vector_field_to_json(a),
         "b_field": bio.vector_field_to_json(b),
@@ -285,10 +284,10 @@ def _cmd_verify_factorization(args, cfg: RunConfig) -> tuple[dict, int]:
     family = bio.family_from_json(bio.load_json_file(args.family), where=args.family)
     triple = _triple_from_spec(args.algebras, phi.dims)
     if isinstance(sym, SchurSymbol):
-        measured = s1_norm_schur(sym, tol=cfg.tolerance, restarts=cfg.restarts, seed=cfg.seed)[1]
+        measured = s1_norm_schur(sym, tol=cfg.tolerance)[1]
     else:
-        measured = amplified_norm(phi, 1, "s1", restarts=cfg.restarts, seed=cfg.seed)
-    report = verify_factorization(phi, family, triple, measured, seed=cfg.seed)
+        measured = amplified_norm(phi, 1, restarts=cfg.restarts, seed=cfg.seed)
+    report = verify_factorization(phi, family, triple, measured)
     return {"measured_lower_bound": _estimate_json(measured, args.witnesses),
             "report": _report_json(report)}, EXIT_OK
 
@@ -298,7 +297,7 @@ def _cmd_amplify(args, cfg: RunConfig) -> tuple[dict, int]:
     phi = embed_schur(sym) if isinstance(sym, SchurSymbol) else sym
     levels = {}
     for level in range(1, args.n + 1):
-        est = amplified_norm(phi, level, "s1", restarts=cfg.restarts, seed=cfg.seed)
+        est = amplified_norm(phi, level, restarts=cfg.restarts, seed=cfg.seed)
         levels[str(level)] = _estimate_json(est, args.witnesses)
     return {"levels": levels}, EXIT_OK
 

@@ -18,9 +18,9 @@ import numpy as np
 
 from .algebra import AlgebraTriple, pair_membership_residual
 from .linalg import ShapeError, schatten_norm
-from .multiplier import PairSymbol, tau1_apply, tau3_apply
+from .multiplier import PairSymbol, tau1_apply
 from .norms import slice_gamma2
-from .symbols import SchurSymbol, Symbol3, complex_normal, make_rng, sup_norm
+from .symbols import SchurSymbol, Symbol3, sup_norm
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def schur_s1_factorize(s: SchurSymbol, tol: float = 1e-8) -> tuple[VectorField, 
     Takes the gamma2 result of every middle-index slice from
     ``norms.slice_gamma2``, which solves them once per symbol and tolerance,
     so this shares the solve with ``s1_norm_schur`` on the same symbol at
-    the same ``tol`` (the defaults differ: 1e-8 here, 1e-6 there).  Embeds
+    the same ``tol`` (both default to 1e-8).  Embeds
     the per-slice factor vectors into a common ambient dimension (the
     largest slice rank, smaller slices zero-padded) and keeps the per-slice
     balancing, so the product of the two sup norms equals the largest slice
@@ -200,9 +200,34 @@ def col_wnorm(f: FactorFamily) -> float:
     return float(np.sqrt(schatten_norm(total, "inf")))
 
 
+def square_slacks(f: FactorFamily, row: float, col: float) -> tuple[float, float]:
+    """Exact slacks row^2 - sup sum_i |tau1(a_i, x)|_2^2 and col^2 - sup sum_i |tau3(b_i, y)|_2^2.
+
+    The suprema run over unit x (d2 x d1) and y (d3 x d2).  Each is the top
+    eigenvalue of sum_i T_i* T_i, T_i the matrix of the one-sided action
+    (``tau1_apply``, which is ``tau3_apply``) on the matrix units: a route
+    independent of ``row_wnorm`` and ``col_wnorm``.  The bounds are attained,
+    so for the w-norms both slacks are zero up to rounding.
+    """
+    d1, d2, d3 = f.dims
+    slacks = []
+    for pairs, shape, norm in ((f.a_list, (d2, d1), row), (f.b_list, (d3, d2), col)):
+        units = np.eye(shape[0] * shape[1]).reshape(-1, *shape)
+        gram = np.zeros((len(units), len(units)), dtype=np.complex128)
+        for p in pairs:
+            t = np.stack([tau1_apply(p, e).ravel() for e in units], axis=1)
+            gram += t.conj().T @ t
+        slacks.append(norm * norm - float(np.linalg.eigvalsh(gram)[-1]))
+    return tuple(slacks)
+
+
 @dataclass
 class FactorizationReport:
-    """Outcome of verify_factorization; failures are entries, never raises."""
+    """Outcome of verify_factorization; failures are entries, never raises.
+
+    The square slacks are those of ``square_slacks``; ``square_ok`` accepts
+    each down to -1e-10 * max(1, w-norm^2).
+    """
 
     synthesis_residual: float
     synthesis_ok: bool
@@ -223,14 +248,14 @@ class FactorizationReport:
 
 
 def verify_factorization(phi: Symbol3, f: FactorFamily, t: AlgebraTriple,
-                         measured_norm, seed: int = 0, trials: int = 20) -> FactorizationReport:
+                         measured_norm) -> FactorizationReport:
     """Check a claimed weak factorization of phi against its defining properties.
 
     Reports the synthesis residual |phi - sum (a_i (x) 1)(1 (x) b_i)|, the
     two-leg membership residuals of every a_i and b_i, the norm bound
     measured <= row_wnorm * col_wnorm, and the square-sum inequalities
-    sum_i |tau1(a_i, x)|_2^2 <= row^2 |x|_2^2 (and the b/y analogue) on
-    seeded random unit vectors.
+    sum_i |tau1(a_i, x)|_2^2 <= row^2 |x|_2^2 (and the b/y analogue), whose
+    suprema over unit x and y are computed exactly (``square_slacks``).
     """
     d1, d2, d3 = f.dims
     if phi.dims != (d1, d2, d3):
@@ -247,21 +272,7 @@ def verify_factorization(phi: Symbol3, f: FactorFamily, t: AlgebraTriple,
     col = col_wnorm(f)
     measured = float(getattr(measured_norm, "value", measured_norm))
     bound_ok = measured <= row * col * (1.0 + 1e-6) + 1e-12
-
-    slack_x = np.inf
-    slack_y = np.inf
-    for i in range(trials):
-        rng = make_rng(seed, i)
-        x = complex_normal(rng, (d2, d1))
-        x /= np.linalg.norm(x)
-        y = complex_normal(rng, (d3, d2))
-        y /= np.linalg.norm(y)
-        sum_x = sum(np.linalg.norm(tau1_apply(a, x)) ** 2 for a in f.a_list)
-        sum_y = sum(np.linalg.norm(tau3_apply(b, y)) ** 2 for b in f.b_list)
-        slack_x = min(slack_x, row * row - sum_x)
-        slack_y = min(slack_y, col * col - sum_y)
-    if trials == 0:
-        slack_x = slack_y = 0.0
+    slack_x, slack_y = square_slacks(f, row, col)
 
     return FactorizationReport(
         synthesis_residual=residual,
@@ -273,7 +284,8 @@ def verify_factorization(phi: Symbol3, f: FactorFamily, t: AlgebraTriple,
         col_norm=col,
         measured_value=measured,
         bound_ok=bool(bound_ok),
-        square_slack_x=float(slack_x),
-        square_slack_y=float(slack_y),
-        square_ok=bool(slack_x >= -1e-10 and slack_y >= -1e-10),
+        square_slack_x=slack_x,
+        square_slack_y=slack_y,
+        square_ok=bool(slack_x >= -1e-10 * max(1.0, row * row)
+                       and slack_y >= -1e-10 * max(1.0, col * col)),
     )

@@ -2,12 +2,12 @@
 
 Three kinds of quantities are produced:
 
-* the bilinear norms of a Schur kernel into S2, B or S1 (``norm_bilinear``)
-  and the level-n amplified S1 norms of a general symbol
-  (``amplified_norm``), always reported as ``lower_bound`` with witnesses.
-  Into S2 and B the value is the sup-norm law, attained by matrix units at
-  the entry of largest modulus; into S1 it comes from the trace ascent, the
-  one ascent engine of the package;
+* the bilinear norms of a Schur kernel into S2 and B (``norm_bilinear``), in
+  closed form: the sup-norm law, attained by matrix units at the entry of
+  largest modulus; and the level-n amplified S1 norms of a general symbol
+  (``amplified_norm``), lower bounds from the trace ascent, the one ascent
+  engine of the package.  Both are reported as ``lower_bound`` with
+  witnesses;
 * the gamma2 factorization norm of a matrix (``gamma2``), the optimum of the
   semidefinite program  min t  s.t.  [[X, M], [M*, Y]] >= 0, diag(X) <= t,
   diag(Y) <= t, computed from its dual form gamma2(M) = max over unit
@@ -24,12 +24,12 @@ The per-slice gamma2 results of a Schur kernel (``slice_gamma2``) are solved
 once per symbol and tolerance and kept on the symbol, so ``s1_norm_schur``
 and ``factorize.schur_s1_factorize`` read the same optimum: the norm is its
 largest value and the factor fields are its factors.  Only calls with equal
-``tol`` share a solve, and the two functions' defaults differ (1e-6 and
-1e-8).
+``tol`` share a solve; both functions default to ``tol=1e-8``.
 
-Trace-ascent restarts are initialized from unit-sphere Gaussians drawn from
-the seeded counter-based generator; restart r uses substream (seed, r), so
-estimates are nondecreasing in the number of restarts for a fixed seed.
+Only ``amplified_norm``, where no certificate exists, draws random starts:
+unit-sphere Gaussians from the seeded counter-based generator, restart r
+from substream (seed, r), so its estimates are nondecreasing in the number
+of restarts for a fixed seed.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def _unit(rng, shape) -> np.ndarray:
 
 
 def _ascend_trace(eval_blocks, adj_x, adj_y, x0, y0):
-    """Trace-norm ascent shared by the S1 target and its amplifications.
+    """Trace-norm ascent of ``amplified_norm`` and the ``s1_norm_schur`` refinement.
 
     The subgradient of the trace norm at B = U diag(sigma) V* is W = U V*; a
     full-length step projected back to the unit sphere is the normalized
@@ -167,40 +167,19 @@ def _symbol_trace_maps(phi: Symbol3):
     return eval_blocks, adj_x, adj_y
 
 
-def _run_trace_restarts(maps, dims, n, restarts, seed):
-    d1, d2, d3 = dims
-    eval_blocks, adj_x, adj_y = maps
-    best = None
-    total = 0
-    for r in range(restarts):
-        rng = make_rng(seed, r)
-        x0 = _unit(rng, (n, d2, d1))
-        y0 = _unit(rng, (n, d3, d2))
-        val, x, y, iters = _ascend_trace(eval_blocks, adj_x, adj_y, x0, y0)
-        total += iters
-        if best is None or val > best[0]:
-            best = (val, x, y)
-    return best, total
+def norm_bilinear(s: SchurSymbol, target: str) -> NormEstimate:
+    """Bilinear norm of a Schur kernel into S2 or B, with witnesses.
 
-
-def norm_bilinear(s: SchurSymbol, target: str, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> NormEstimate:
-    """Bilinear norm of a Schur kernel into S2, B or S1, with witnesses.
-
-    For S2 and B the norm is sup |s| (the sup-norm law), attained by the
-    matrix units x = E_{t2,t1}, y = E_{t3,t2} at the entry (t1, t2, t3) of
-    largest modulus, whose action is s[t1, t2, t3] E_{t3,t1}; that value is
-    returned, and ``restarts`` is validated but, like ``seed``, does not
-    change it.  For S1 the value is a lower bound from the trace ascent,
-    best over ``restarts`` independent seeded starts.  Either way the kind is
-    ``lower_bound`` and the returned witnesses reproduce ``value`` when
-    re-evaluated.
+    The norm is sup |s| (the sup-norm law), attained by the matrix units
+    x = E_{t2,t1}, y = E_{t3,t2} at the entry (t1, t2, t3) of largest
+    modulus, whose action is s[t1, t2, t3] E_{t3,t1}.  The kind is
+    ``lower_bound``, and the witnesses reproduce ``value`` when
+    re-evaluated.  The S1 norm has its own certified bracket,
+    ``s1_norm_schur``; asking for it here raises ``ValueError``.
     """
-    t = _norm_target(target)
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if t == "s1":
-        (val, x, y), total = _run_trace_restarts(_schur_trace_maps(s), s.dims, 1, restarts, seed)
-        return NormEstimate(val, "lower_bound", [x[0]], [y[0]], restarts, total)
+    if _norm_target(target) == "s1":
+        raise ValueError("norm_bilinear covers S2 and B; the S1 norm of a Schur kernel "
+                         "is s1_norm_schur(s)")
     n1, n2, n3 = s.dims
     t1, t2, t3 = np.unravel_index(int(np.argmax(np.abs(s.data))), s.dims)
     x = np.zeros((n2, n1), dtype=np.complex128)
@@ -209,21 +188,31 @@ def norm_bilinear(s: SchurSymbol, target: str, restarts: int = DEFAULT_RESTARTS,
     return NormEstimate(sup_norm(s), "lower_bound", [x], [y], 1, 0)
 
 
-def amplified_norm(phi: Symbol3, n: int, target: str = "S1",
-                   restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> NormEstimate:
+def amplified_norm(phi: Symbol3, n: int, restarts: int = DEFAULT_RESTARTS,
+                   seed: int = 0) -> NormEstimate:
     """Lower bound for the level-n amplified S1 norm.
 
     Assembles the (n*d3) x (n*d1) block matrix [u(y_i, x_j)] and ascends its
-    trace norm over tuples with sum |x_j|_2^2 = sum |y_i|_2^2 = 1, with the
-    same subgradient alternation as the n = 1 case.
+    trace norm over tuples with sum |x_j|_2^2 = sum |y_i|_2^2 = 1 by the
+    subgradient alternation of ``_ascend_trace``, best of ``restarts`` starts;
+    restart r draws from substream (seed, r), and ``seed`` must be >= 0.
     """
-    if _norm_target(target) != "s1":
-        raise ValueError("amplified_norm supports target S1 only")
     if n < 1:
         raise ValueError("amplification level must be >= 1")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    (val, x, y), total = _run_trace_restarts(_symbol_trace_maps(phi), phi.dims, n, restarts, seed)
+    d1, d2, d3 = phi.dims
+    maps = _symbol_trace_maps(phi)
+    best, total = None, 0
+    for r in range(restarts):
+        rng = make_rng(seed, r)
+        x0 = _unit(rng, (n, d2, d1))
+        y0 = _unit(rng, (n, d3, d2))
+        val, x, y, iters = _ascend_trace(*maps, x0, y0)
+        total += iters
+        if best is None or val > best[0]:
+            best = (val, x, y)
+    val, x, y = best
     return NormEstimate(val, "lower_bound", list(x), list(y), restarts, total)
 
 
@@ -441,24 +430,24 @@ def slice_gamma2(s: SchurSymbol, tol: float = 1e-8) -> tuple[Gamma2Result, ...]:
     return results
 
 
-def s1_norm_schur(s: SchurSymbol, tol: float = 1e-6,
-                  restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> tuple[float, NormEstimate]:
+def s1_norm_schur(s: SchurSymbol, tol: float = 1e-8,
+                  restarts: int = DEFAULT_RESTARTS) -> tuple[float, NormEstimate]:
     """S1 multiplier norm of a Schur kernel: slice-gamma2 upper bound + witness lower bound.
 
     The middle index decouples the factorization slice by slice, so the exact
     norm is max_t2 gamma2(slice(t2)); the largest gamma2 ``value`` is the
     upper bound.  The slice results come from ``slice_gamma2``, so they are
     shared with ``schur_s1_factorize`` on the same symbol at the same
-    ``tol`` (the defaults differ: 1e-6 here, 1e-8 there).  The lower bound
-    is a witness read off the dual weights (u, v) of the slice t2* with the
-    largest gamma2 ``lower``: the unit inputs x = e_t2* (x) u,
-    y = v (x) e_t2* give the action D_v M_t2*^T D_u, whose trace norm is
-    that ``lower``.  One run of the trace ascent from
-    this witness refines it; the ascent does not decrease the value and keeps
-    the witness on slice t2*, so it stays below gamma2 of that slice (a
-    violation of the upper bound is an internal error).  ``restarts`` is
-    validated but, like ``seed``, does not change the result; the estimate
-    reports one restart, and its refinement steps as ``iterations``.
+    ``tol`` (both default to 1e-8).  The lower bound is a witness read off
+    the dual weights (u, v) of the slice t2* with the largest gamma2
+    ``lower``: the unit inputs x = e_t2* (x) u, y = v (x) e_t2* give the
+    action D_v M_t2*^T D_u, whose trace norm is that ``lower``.  One run of
+    the trace ascent from this witness refines it; the ascent does not
+    decrease the value and keeps the witness on slice t2*, so it stays below
+    gamma2 of that slice (a violation of the upper bound is an internal
+    error).  Nothing is drawn at random: ``restarts`` is validated (>= 1)
+    but does not change the result; the estimate reports one restart, and
+    its refinement steps as ``iterations``.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")

@@ -30,8 +30,11 @@ if TYPE_CHECKING:  # pragma: no cover
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
     """Deterministic counter-based generator; extra ints select substreams.
 
+    Every seed of the library reaches this function, and it must be >= 0.
     Seed 0 is reserved for documentation examples.
     """
+    if int(seed) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
     return np.random.Generator(np.random.Philox(ss))
 

@@ -141,6 +141,23 @@ def test_cli_determinism(workdir, capsys):
     assert out1 == out2
 
 
+def test_schur_commands_ignore_seed_and_restarts(workdir, capsys):
+    # every Schur number is certified or in closed form, so nothing is drawn
+    kernel = workdir["rand.json"]
+    code, out = run_cli(capsys, "factorize", "--input", kernel, "--tol", "1e-4")
+    assert code == 0
+    fam_path = workdir["dir"] / "family.json"
+    fam_path.write_text(json.dumps(json.loads(out)["family"]))
+    commands = [("factorize", "--input", kernel, "--tol", "1e-4", "--witnesses"),
+                ("verify-factorization", "--input", kernel, "--family", str(fam_path),
+                 "--algebras", "full,full,full", "--tol", "1e-4")]
+    commands += [("norm", "--input", kernel, "--target", t, "--witnesses") for t in ("s1", "s2", "b")]
+    for argv in commands:
+        outs = [run_cli(capsys, *argv, "--seed", seed, "--restarts", restarts)
+                for seed, restarts in (("0", "20"), ("7", "3"))]
+        assert outs[0][0] == 0 and outs[0] == outs[1], argv
+
+
 def test_factorize_cli_and_truncation(workdir, capsys):
     code, out = run_cli(capsys, "factorize", "--input", workdir["ones.json"],
                         "--tol", "1e-4", "--restarts", "5")

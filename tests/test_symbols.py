@@ -100,3 +100,16 @@ def test_symbol_validation():
         Symbol3(np.zeros((2, 3, 2, 2, 2, 2)))
     with pytest.raises(ShapeError):
         elementary_symbol(np.zeros((2, 3)), np.eye(2), np.eye(2))
+
+
+def test_negative_seed_rejected_by_every_seeded_call():
+    from bimult.norms import amplified_norm
+    from bimult.selftest import run_selftest
+
+    phi = embed_schur(SchurSymbol(np.ones((2, 2, 2))))
+    calls = (lambda: make_rng(-1), lambda: amplified_norm(phi, 1, seed=-1),
+             lambda: random_symbol_in(diag_triple((2, 2, 2)), seed=-1),
+             lambda: run_selftest(seed=-1))
+    for call in calls:
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            call()
