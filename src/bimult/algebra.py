@@ -2,10 +2,13 @@
 
 A ``MatrixAlgebra`` is a unital *-subalgebra of d x d matrices, stored through
 an orthonormal basis with respect to the normalized trace inner product
-``<A, B> = tr(A* B) / d`` (which makes the identity a unit vector).  The
-module provides *-algebra generation by closure, commutants via a null-space
-computation, trace-orthogonal conditional expectations, and membership tests
-for triple tensor products of algebras.
+``<A, B> = tr(A* B) / d`` (which makes the identity a unit vector).  One
+null-space solve gives the commutant of a set of matrices and their adjoints.
+By von Neumann's double commutant theorem the unital *-algebra generated by a
+set S is (S u S*)'', so generation is that solve run twice; the presets have
+exact bases.  The module also provides trace-orthogonal conditional
+expectations and membership tests for triple tensor products of algebras,
+which project one tensor leg at a time.
 """
 
 from __future__ import annotations
@@ -17,14 +20,10 @@ import numpy as np
 from .linalg import ShapeError, as_matrix
 from .symbols import Symbol3
 
-ADMIT_RESIDUAL = 1e-10  # closure iteration: new basis candidate threshold
-NULLSPACE_RTOL = 1e-10  # sigma <= rtol * sigma_max counts as null direction
+# With every generator scaled to unit Frobenius norm, a singular value of the
+# stacked commutator maps <= NULLSPACE_RTOL counts as a null direction.
+NULLSPACE_RTOL = 1e-10
 MEMBERSHIP_RTOL = 1e-8
-
-
-def trace_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Normalized trace inner product tr(a* b) / d."""
-    return complex(np.einsum("ij,ij->", a.conj(), b)) / a.shape[0]
 
 
 @dataclass(frozen=True)
@@ -45,15 +44,14 @@ class MatrixAlgebra:
         return len(self.basis)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of x onto the span of the basis."""
-        out = np.zeros_like(x, dtype=np.complex128)
-        for b in self.basis:
-            out += trace_inner(b, x) * b
-        return out
+        """Orthogonal projection onto the span of the basis, on the last two axes of x.
 
-    def contains(self, x: np.ndarray, rtol: float = MEMBERSHIP_RTOL) -> bool:
-        resid = float(np.linalg.norm(x - self.project(x)))
-        return resid <= rtol * (1.0 + float(np.linalg.norm(x)))
+        The leading axes are a stack: each d x d matrix of x is projected.
+        """
+        d = self.dim
+        basis = np.stack(self.basis).reshape(self.size, d * d)
+        flat = np.reshape(x, (*x.shape[:-2], d * d))
+        return ((flat @ basis.conj().T / d) @ basis).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -67,95 +65,52 @@ class AlgebraTriple:
         return self.m1.dim, self.m2.dim, self.m3.dim
 
 
-def _orthonormalize_into(basis: list[np.ndarray], cand: np.ndarray) -> bool:
-    """Gram-Schmidt `cand` against `basis` (normalized trace norm); admit if new."""
-    norm0 = np.sqrt(abs(trace_inner(cand, cand)))
-    if norm0 <= 1e-14:
-        return False
-    cand = cand / norm0
-    for _ in range(2):  # twice for numerical orthogonality
-        for b in basis:
-            cand = cand - trace_inner(b, cand) * b
-    resid = np.sqrt(abs(trace_inner(cand, cand)))
-    if resid <= ADMIT_RESIDUAL:
-        return False
-    basis.append(cand / resid)
-    return True
+def _commutant_basis(dim: int, gens) -> tuple[np.ndarray, ...]:
+    """Trace-orthonormal basis of {X : GX = XG and G*X = XG* for every G in gens}.
+
+    The constraints are linear in X, so this is the null space of the stacked
+    row-major vectorized maps X -> GX - XG, read off the SVD.  Each generator
+    is scaled to unit norm (zero ones impose nothing), so the threshold
+    NULLSPACE_RTOL does not depend on the generators' scale.
+    """
+    eye = np.eye(dim)
+    rows = []
+    for g in gens:
+        norm = np.linalg.norm(g)
+        if norm > 0.0:
+            for h in (g / norm, g.conj().T / norm):
+                rows.append(np.kron(h, eye) - np.kron(eye, h.T))
+    if rows:
+        _, sigma, vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
+        null = vh[int(np.sum(sigma > NULLSPACE_RTOL)):].conj()
+    else:
+        null = np.eye(dim * dim, dtype=np.complex128)
+    return tuple(np.sqrt(dim) * vec.reshape(dim, dim) for vec in null)
 
 
 def generate_algebra(dim: int, generators) -> MatrixAlgebra:
     """Smallest unital *-algebra containing the generators.
 
-    Iterates products/adjoints with Gram-Schmidt admission until the span
-    stabilizes; the span dimension is capped by dim^2 so this terminates.
+    By the double commutant theorem this is the commutant of the commutant of
+    the generators and their adjoints; the basis is read off the second
+    null-space solve.  The generators are kept as given.
     """
     gens = tuple(as_matrix(g) for g in generators)
     for g in gens:
         if g.shape != (dim, dim):
             raise ShapeError(f"shape: generator {g.shape} for dimension {dim}")
-    basis: list[np.ndarray] = []
-    _orthonormalize_into(basis, np.eye(dim, dtype=np.complex128))
-    work = list(gens) + [g.conj().T for g in gens]
-    for m in work:
-        _orthonormalize_into(basis, m)
-    cap = dim * dim
-    changed = True
-    while changed and len(basis) < cap:
-        changed = False
-        current = list(basis)
-        for p in current:
-            if _orthonormalize_into(basis, p.conj().T):
-                changed = True
-        current = list(basis)
-        for p in current:
-            for q in current:
-                if _orthonormalize_into(basis, p @ q):
-                    changed = True
-                    if len(basis) >= cap:
-                        break
-            if len(basis) >= cap:
-                break
-    return MatrixAlgebra(dim=dim, generators=gens, basis=tuple(basis))
-
-
-def _full_algebra(dim: int) -> MatrixAlgebra:
-    units = []
-    for i in range(dim):
-        for j in range(dim):
-            e = np.zeros((dim, dim), dtype=np.complex128)
-            e[i, j] = 1.0
-            units.append(e)
-    scale = np.sqrt(dim)  # trace-normalized units have norm 1/sqrt(d)
-    return MatrixAlgebra(dim=dim, generators=tuple(units), basis=tuple(scale * u for u in units))
+    basis = _commutant_basis(dim, _commutant_basis(dim, gens))
+    return MatrixAlgebra(dim=dim, generators=gens, basis=basis)
 
 
 def commutant(a: MatrixAlgebra) -> MatrixAlgebra:
     """Commutant {X : XG = GX for the generators G and their adjoints}.
 
-    The commutator constraint is linear, so the commutant is the null space of
-    the stacked vectorized maps X -> GX - XG, extracted by SVD with threshold
-    sigma <= 1e-10 * sigma_max.  Using generators only (not the full basis) is
-    equivalent and cheaper.
+    The null space of the stacked commutator maps, as in ``generate_algebra``.
+    Using the generators only (not the full basis) is equivalent and cheaper.
     """
-    d = a.dim
-    gens = list(a.generators) + [g.conj().T for g in a.generators]
-    if not gens:
-        return _full_algebra(d)
-    eye = np.eye(d)
-    rows = [np.kron(g, eye) - np.kron(eye, g.T) for g in gens]  # row-major vec
-    system = np.vstack(rows)
-    _, sigma, vh = np.linalg.svd(system)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(sigma > NULLSPACE_RTOL * sigma[0]))
-    null = vh[rank:].conj()
-    mats = [np.sqrt(d) * vec.reshape(d, d) for vec in null]  # trace-orthonormal
-    basis: list[np.ndarray] = []
-    _orthonormalize_into(basis, np.eye(d, dtype=np.complex128))
-    for m in mats:
-        _orthonormalize_into(basis, m)
-    return MatrixAlgebra(dim=d, generators=tuple(basis), basis=tuple(basis))
+    basis = _commutant_basis(a.dim, a.generators)
+    return MatrixAlgebra(dim=a.dim, generators=basis, basis=basis)
 
 
 def conditional_expectation(x: np.ndarray, a: MatrixAlgebra) -> np.ndarray:
@@ -170,17 +125,23 @@ def conditional_expectation(x: np.ndarray, a: MatrixAlgebra) -> np.ndarray:
     return a.project(x)
 
 
+def _project_legs(data: np.ndarray, algs) -> np.ndarray:
+    """Project leg k (the index pair 2k, 2k+1) of data onto algs[k], for every k.
+
+    The projection onto a tensor product of spans is the product of the
+    projections of its legs.
+    """
+    for k, alg in enumerate(algs):
+        legs = (2 * k, 2 * k + 1)
+        data = np.moveaxis(alg.project(np.moveaxis(data, legs, (-2, -1))), (-2, -1), legs)
+    return data
+
+
 def project_symbol(phi: Symbol3, t: AlgebraTriple) -> Symbol3:
     """Orthogonal projection of phi onto span{b1 (x) b2 (x) b3}."""
-    d1, d2, d3 = t.dims
-    if phi.dims != (d1, d2, d3):
+    if phi.dims != t.dims:
         raise ShapeError(f"shape: symbol dims {phi.dims} vs algebra dims {t.dims}")
-    b1 = np.stack(t.m1.basis)
-    b2 = np.stack(t.m2.basis)
-    b3 = np.stack(t.m3.basis)
-    coeff = np.einsum("abcdef,iab,jcd,kef->ijk", phi.data, b1.conj(), b2.conj(), b3.conj())
-    coeff = coeff / (d1 * d2 * d3)
-    return Symbol3(np.einsum("ijk,iab,jcd,kef->abcdef", coeff, b1, b2, b3))
+    return Symbol3(_project_legs(phi.data, (t.m1, t.m2, t.m3)))
 
 
 def tensor_membership(phi: Symbol3, t: AlgebraTriple) -> tuple[bool, float]:
@@ -201,39 +162,40 @@ def pair_membership_residual(data: np.ndarray, ma: MatrixAlgebra, mb: MatrixAlge
     da, db = ma.dim, mb.dim
     if data.shape != (da, da, db, db):
         raise ShapeError(f"shape: pair tensor {data.shape} vs dims {(da, db)}")
-    b1 = np.stack(ma.basis)
-    b2 = np.stack(mb.basis)
-    coeff = np.einsum("abcd,iab,jcd->ij", data, b1.conj(), b2.conj()) / (da * db)
-    recon = np.einsum("ij,iab,jcd->abcd", coeff, b1, b2)
-    return float(np.linalg.norm(data - recon))
+    return float(np.linalg.norm(data - _project_legs(data, (ma, mb))))
+
+
+def _block_algebra(dim: int, sizes) -> MatrixAlgebra:
+    """Block-diagonal algebra: the matrix units inside the blocks, scaled to unit norm."""
+    units = []
+    off = 0
+    for k in sizes:
+        for i in range(off, off + k):
+            for j in range(off, off + k):
+                e = np.zeros((dim, dim), dtype=np.complex128)
+                e[i, j] = 1.0
+                units.append(e)
+        off += k
+    scale = np.sqrt(dim)  # trace-normalized units have norm 1/sqrt(d)
+    return MatrixAlgebra(dim=dim, generators=tuple(units), basis=tuple(scale * u for u in units))
 
 
 def preset_algebra(name: str, dim: int) -> MatrixAlgebra:
-    """Named presets: "full", "diagonal", "scalar", "block:<k1+k2+...>"."""
+    """Named presets: "full", "diagonal", "scalar", "block:<k1+k2+...>".
+
+    Each has an exact basis, with no generation: "full" is one block,
+    "diagonal" has blocks of size 1, and "scalar" is spanned by the identity.
+    """
     name = name.strip().lower()
     if name == "full":
-        return _full_algebra(dim)
+        return _block_algebra(dim, [dim])
     if name == "scalar":
-        return generate_algebra(dim, [])
+        return MatrixAlgebra(dim=dim, generators=(), basis=(np.eye(dim, dtype=np.complex128),))
     if name == "diagonal":
-        gens = []
-        for i in range(dim):
-            e = np.zeros((dim, dim), dtype=np.complex128)
-            e[i, i] = 1.0
-            gens.append(e)
-        return generate_algebra(dim, gens)
+        return _block_algebra(dim, [1] * dim)
     if name.startswith("block:"):
         sizes = [int(p) for p in name.split(":", 1)[1].split("+")]
         if any(k <= 0 for k in sizes) or sum(sizes) != dim:
             raise ShapeError(f"shape: block sizes {sizes} do not partition dimension {dim}")
-        gens = []
-        off = 0
-        for k in sizes:
-            for i in range(k):
-                for j in range(k):
-                    e = np.zeros((dim, dim), dtype=np.complex128)
-                    e[off + i, off + j] = 1.0
-                    gens.append(e)
-            off += k
-        return generate_algebra(dim, gens)
+        return _block_algebra(dim, sizes)
     raise ValueError(f"unknown algebra preset {name!r}")

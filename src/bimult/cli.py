@@ -40,13 +40,10 @@ TOL_RANGE = (GAMMA2_MIN_TOL, 1e-2)  # the --tol range; gamma2 accepts everything
 
 @dataclass
 class RunConfig:
-    command: str
     seed: int
     restarts: int
     tolerance: float
     output_format: str
-    input_path: str | None = None
-    algebra_spec: str | None = None
 
     def __post_init__(self):
         lo, hi = TOL_RANGE
@@ -128,10 +125,8 @@ def _config_from(args) -> RunConfig:
         raise ValueError("--truncate must be >= 0")
     seed = args.seed if args.seed is not None else _env_int("BIMULT_SEED", 0)
     restarts = args.restarts if args.restarts is not None else _env_int("BIMULT_RESTARTS", 20)
-    return RunConfig(command=args.command, seed=seed, restarts=restarts,
-                     tolerance=args.tol, output_format=args.format,
-                     input_path=getattr(args, "input", None),
-                     algebra_spec=getattr(args, "algebras", None))
+    return RunConfig(seed=seed, restarts=restarts, tolerance=args.tol,
+                     output_format=args.format)
 
 
 def _load_symbol(path: str):
@@ -144,19 +139,18 @@ def _load_matrix(path: str) -> np.ndarray:
 
 def _algebra_from_spec(spec: str, dim: int) -> MatrixAlgebra:
     spec = spec.strip()
-    if spec.startswith("@"):
-        obj = bio.load_json_file(spec[1:])
-        if not isinstance(obj, dict) or not isinstance(obj.get("dim"), int):
-            raise bio.ParseError("algebra file needs integer 'dim' and 'generators'",
-                                 position=spec[1:])
-        gens = [bio.matrix_from_json(g, where=f"{spec[1:]}.generators[{i}]")
-                for i, g in enumerate(obj.get("generators", []))]
-        alg = generate_algebra(obj["dim"], gens)
-    else:
-        alg = preset_algebra(spec, dim)
-    if alg.dim != dim:
-        raise ShapeError(f"shape: algebra dimension {alg.dim} vs symbol leg {dim}")
-    return alg
+    if not spec.startswith("@"):
+        return preset_algebra(spec, dim)
+    path = spec[1:]
+    obj = bio.load_json_file(path)
+    if not isinstance(obj, dict) or not isinstance(obj.get("dim"), int):
+        raise bio.ParseError("algebra file needs integer 'dim' and 'generators'", position=path)
+    # checked before any generator is read: generating can allocate O(dim^6) entries
+    if obj["dim"] != dim:
+        raise ShapeError(f"shape: algebra dimension {obj['dim']} vs symbol leg {dim}")
+    gens = [bio.matrix_from_json(g, where=f"{path}.generators[{i}]")
+            for i, g in enumerate(obj.get("generators", []))]
+    return generate_algebra(dim, gens)
 
 
 def _triple_from_spec(spec: str, dims: tuple[int, int, int]) -> AlgebraTriple:

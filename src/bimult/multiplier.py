@@ -130,10 +130,7 @@ def _projection_violation(phi: Symbol3, t: AlgebraTriple) -> float:
         fam = extract_U(phi, which)
         d = alg.dim
         slices = fam.reshape(-1, d, d)
-        basis = np.stack(alg.basis)
-        coeff = np.einsum("nij,bij->nb", slices, basis.conj()) / d
-        recon = np.einsum("nb,bij->nij", coeff, basis)
-        resid = np.linalg.norm(slices - recon, axis=(1, 2))
+        resid = np.linalg.norm(slices - alg.project(slices), axis=(1, 2))
         if resid.size:
             worst = max(worst, float(resid.max()))
     return worst

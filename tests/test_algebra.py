@@ -3,7 +3,7 @@ import pytest
 
 from bimult.algebra import (AlgebraTriple, commutant, conditional_expectation,
                             generate_algebra, preset_algebra, project_symbol,
-                            tensor_membership, trace_inner)
+                            tensor_membership)
 from bimult.linalg import ShapeError
 from bimult.symbols import Symbol3, complex_normal, elementary_symbol, make_rng, random_symbol_in
 
@@ -36,27 +36,74 @@ def test_generate_trivial_and_full():
     assert generate_algebra(2, units).size == 4
 
 
-def test_generate_diagonal_matches_closure_oracle():
-    g = np.diag([1.0, 2.0, 3.0]).astype(complex)
-    alg = generate_algebra(3, [g])
-    assert alg.size == 3
-    assert alg.size == closure_dimension_oracle(3, [g])
+def assert_algebra_invariants(alg, gens):
+    """Orthonormal basis (for tr(a* b) / d), closed under products, containing I and
+    every generator."""
+    basis = np.stack(alg.basis)
+    gram = np.einsum("aij,bij->ab", basis.conj(), basis) / alg.dim
+    assert np.abs(gram - np.eye(alg.size)).max() <= 1e-10
+    prods = np.einsum("aij,bjk->abik", basis, basis)
+    resid = np.linalg.norm(prods - alg.project(prods), axis=(2, 3))
+    assert (resid <= 1e-9 * (1 + np.linalg.norm(prods, axis=(2, 3)))).all()
+    for m in (np.eye(alg.dim, dtype=complex), *gens):
+        assert np.linalg.norm(m - alg.project(m)) <= 1e-9 * (1 + np.linalg.norm(m))
+
+
+def _unit(dim, i, j):
+    e = np.zeros((dim, dim), dtype=complex)
+    e[i, j] = 1.0
+    return e
+
+
+def _oracle_sets():
+    """(dim, generators, oracle rounds) at scale about 1, keyed by a test id."""
+    rng = make_rng(206)
+    sets = {"diag-1-2-3": (3, [np.diag([1.0, 2.0, 3.0]).astype(complex)]),
+            "e12": (2, [_unit(2, 0, 1)]),
+            "jordan": (2, [np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)])}
+    for d in range(2, 6):
+        for k in (1, 2):
+            sets[f"random-d{d}-k{k}"] = (d, [complex_normal(rng, (d, d)) for _ in range(k)])
+    # W (C + M3) W* in M4, built as the benchmark's alg4.json is
+    w, _ = np.linalg.qr(complex_normal(rng, (4, 4)))
+    block = np.zeros((4, 4), bool)
+    block[0, 0] = True
+    block[1:, 1:] = True
+    sets["conj-c+m3-d4"] = (4, [w @ np.where(block, complex_normal(rng, (4, 4)), 0) @ w.conj().T
+                                for _ in range(2)])
+    eye2 = np.eye(2, dtype=complex)
+    sets["m2-x-1"] = (4, [np.kron(complex_normal(rng, (2, 2)), eye2)])
+    sets["1-x-m2"] = (4, [np.kron(eye2, complex_normal(rng, (2, 2)))])
+    a = complex_normal(rng, (3, 3))
+    sets["diag-a-a"] = (6, [np.kron(eye2, a)])
+    h = complex_normal(rng, (5, 5))
+    sets["hermitian-d5"] = (5, [h + h.conj().T])
+    sets["diag-1-1e-6-2"] = (3, [np.diag([1.0, 1.0 + 1e-6, 2.0]).astype(complex)])
+    sets = {name: (dim, gens, 6) for name, (dim, gens) in sets.items()}
+    # matrix units already span an algebra: words of length 2 show it is closed
+    for name, dim in (("full", 3), ("diagonal", 3), ("scalar", 3), ("block:1+2", 3),
+                      ("block:2+1+1", 4)):
+        sets[f"preset-{name}"] = (dim, list(preset_algebra(name, dim).generators), 2)
+    return sets
+
+
+ORACLE_SETS = _oracle_sets()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SETS))
+def test_generate_matches_closure_oracle(name):
+    # the word-span oracle is independent of the commutant solve; its absolute
+    # rank tolerance is why every set here is scaled about 1
+    dim, gens, rounds = ORACLE_SETS[name]
+    alg = generate_algebra(dim, gens)
+    assert alg.size == closure_dimension_oracle(dim, gens, rounds)
+    assert_algebra_invariants(alg, gens)
 
 
 def test_generated_basis_invariants():
     rng = make_rng(201)
     gens = [complex_normal(rng, (3, 3))]
-    alg = generate_algebra(3, gens)
-    # orthonormal basis containing the identity, closed under products
-    for i, b1 in enumerate(alg.basis):
-        for j, b2 in enumerate(alg.basis):
-            ip = trace_inner(b1, b2)
-            assert abs(ip - (1.0 if i == j else 0.0)) <= 1e-10
-            prod = b1 @ b2
-            resid = np.linalg.norm(prod - alg.project(prod))
-            assert resid <= 1e-9 * (1 + np.linalg.norm(prod))
-    eye = np.eye(3, dtype=complex)
-    assert np.linalg.norm(eye - alg.project(eye)) <= 1e-10
+    assert_algebra_invariants(generate_algebra(3, gens), gens)
 
 
 @pytest.mark.parametrize("name,dim,expected", [
@@ -85,6 +132,23 @@ def test_bicommutant():
             assert np.linalg.norm(b - bicom.project(b)) <= 1e-8
         for b in bicom.basis:
             assert np.linalg.norm(b - alg.project(b)) <= 1e-8
+
+
+def test_commutant_of_central_generator():
+    # every commutator is rounding noise: the generated algebra is the scalars,
+    # whose commutant is all of M_3
+    rng = make_rng(207)
+    g = (0.3 + 0.4j) * np.eye(3) + 1e-17 * complex_normal(rng, (3, 3))
+    alg = generate_algebra(3, [g])
+    assert alg.size == 1
+    assert commutant(alg).size == 9
+
+
+def test_commutant_of_mixed_scale_generators():
+    # the null-space threshold must not depend on the generators' scales
+    gens = [1e6 * np.diag([1.0, 2.0, 3.0]).astype(complex), 1e-6 * _unit(3, 0, 1)]
+    assert generate_algebra(3, gens).size == 5  # M_2 + C
+    assert commutant(generate_algebra(3, gens)).size == 2
 
 
 def test_conditional_expectation_examples():

@@ -6,7 +6,7 @@ import pytest
 import bimult.io as bio
 from bimult.cli import main
 from bimult.norms import GAMMA2_MIN_TOL, gamma2
-from bimult.symbols import SchurSymbol, complex_normal, embed_schur, make_rng
+from bimult.symbols import SchurSymbol, Symbol3, complex_normal, embed_schur, make_rng
 
 
 @pytest.fixture
@@ -239,6 +239,36 @@ def test_verify_modular_general_symbol_and_file_algebra(workdir, capsys):
     assert code == 3  # dimension mismatch with the symbol leg
 
 
+def test_verify_modular_central_file_algebra(workdir, capsys):
+    # a generator that is central up to rounding generates the scalars; their
+    # commutant is all of M_2, so both modularity checks see a non-member
+    rng = make_rng(602)
+    g = (0.3 + 0.4j) * np.eye(2) + 1e-17 * complex_normal(rng, (2, 2))
+    alg_file = workdir["dir"] / "alg.json"
+    alg_file.write_text(json.dumps({"dim": 2, "generators": [bio.matrix_to_json(g)]}))
+    sym_file = workdir["dir"] / "general.json"
+    sym_file.write_text(json.dumps(bio.symbol3_to_json(Symbol3(complex_normal(rng, (2,) * 6)))))
+    code, out = run_cli(capsys, "verify-modular", "--input", str(sym_file),
+                        "--algebras", f"@{alg_file},full,full")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["member"] is False and payload["modular"] is False
+    assert payload["equivalent"] is True
+
+
+def test_algebra_file_dim_checked_before_generation(workdir, capsys, monkeypatch):
+    def no_generation(*args):
+        raise AssertionError("generate_algebra called before the dimension check")
+
+    monkeypatch.setattr("bimult.cli.generate_algebra", no_generation)
+    bad = workdir["dir"] / "alg_dim3.json"
+    bad.write_text(json.dumps({"dim": 3, "generators": []}))
+    code = main(["verify-modular", "--input", workdir["rand_general.json"],
+                 "--algebras", f"@{bad},diagonal,diagonal"])
+    assert code == 3
+    assert "algebra dimension 3 vs symbol leg 2" in capsys.readouterr().err
+
+
 def test_verify_factorization_cli(workdir, capsys):
     code, out = run_cli(capsys, "factorize", "--input", workdir["rand.json"],
                         "--tol", "1e-4", "--restarts", "5")
@@ -279,19 +309,21 @@ def test_selftest_reproducible(capsys):
 
 
 def test_env_seed_override(workdir, capsys, monkeypatch):
+    # the general-symbol S1 norm runs seeded restarts, so both settings show in stdout
+    argv = ("norm", "--input", workdir["rand_general.json"], "--target", "s1")
+    _, out_99 = run_cli(capsys, *argv, "--seed", "99", "--restarts", "3")
+    _, out_1 = run_cli(capsys, *argv, "--seed", "1", "--restarts", "3")
+    _, out_r1 = run_cli(capsys, *argv, "--seed", "99", "--restarts", "1")
+    assert out_99 != out_1 and out_99 != out_r1
     monkeypatch.setenv("BIMULT_SEED", "99")
-    _, out_env = run_cli(capsys, "norm", "--input", workdir["rand.json"],
-                         "--target", "s1", "--restarts", "3", "--tol", "1e-3")
-    monkeypatch.delenv("BIMULT_SEED")
-    _, out_flag = run_cli(capsys, "norm", "--input", workdir["rand.json"],
-                          "--target", "s1", "--restarts", "3", "--seed", "99",
-                          "--tol", "1e-3")
-    assert out_env == out_flag
+    assert run_cli(capsys, *argv, "--restarts", "3")[1] == out_99
     monkeypatch.setenv("BIMULT_SEED", "1")
-    _, out_flagwins = run_cli(capsys, "norm", "--input", workdir["rand.json"],
-                              "--target", "s1", "--restarts", "3", "--seed", "99",
-                              "--tol", "1e-3")
-    assert out_flagwins == out_flag
+    assert run_cli(capsys, *argv, "--seed", "99", "--restarts", "3")[1] == out_99
+    monkeypatch.delenv("BIMULT_SEED")
+    monkeypatch.setenv("BIMULT_RESTARTS", "3")
+    assert run_cli(capsys, *argv, "--seed", "99")[1] == out_99
+    monkeypatch.setenv("BIMULT_RESTARTS", "1")
+    assert run_cli(capsys, *argv, "--seed", "99", "--restarts", "3")[1] == out_99
 
 
 def test_bad_tolerance_exits_3(workdir, capsys):
