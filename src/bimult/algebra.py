@@ -65,27 +65,43 @@ class AlgebraTriple:
         return self.m1.dim, self.m2.dim, self.m3.dim
 
 
-def _commutant_basis(dim: int, gens) -> tuple[np.ndarray, ...]:
-    """Trace-orthonormal basis of {X : GX = XG and G*X = XG* for every G in gens}.
+def commutator_maps(mats) -> np.ndarray:
+    """Matrices of X -> MX - XM on row-major vectorized X, one per M, stacked.
+
+    Returns an (m, d*d, d*d) array for m matrices of size d x d: entry
+    [(i, k), (j, l)] is M[i, j] delta(k, l) - delta(i, j) M[l, k], which is
+    kron(M, I) - kron(I, M^T).
+    """
+    mats = np.asarray(mats, dtype=np.complex128)
+    m, d, _ = mats.shape
+    eye = np.eye(d)
+    maps = np.einsum("nij,kl->nikjl", mats, eye) - np.einsum("ij,nlk->nikjl", eye, mats)
+    return maps.reshape(m, d * d, d * d)
+
+
+def _commutant_basis(dim: int, mats) -> tuple[np.ndarray, ...]:
+    """Trace-orthonormal basis of {X : MX = XM for every M in mats}.
 
     The constraints are linear in X, so this is the null space of the stacked
-    row-major vectorized maps X -> GX - XG, read off the SVD.  Each generator
-    is scaled to unit norm (zero ones impose nothing), so the threshold
-    NULLSPACE_RTOL does not depend on the generators' scale.
+    commutator maps (``commutator_maps``), read off the SVD.  Only the given
+    matrices are stacked: a caller whose span is not *-closed passes the
+    adjoints too.  Each matrix is scaled to unit norm (zero ones impose
+    nothing), so the threshold NULLSPACE_RTOL does not depend on their scale.
     """
-    eye = np.eye(dim)
-    rows = []
-    for g in gens:
-        norm = np.linalg.norm(g)
-        if norm > 0.0:
-            for h in (g / norm, g.conj().T / norm):
-                rows.append(np.kron(h, eye) - np.kron(eye, h.T))
-    if rows:
-        _, sigma, vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
+    norms = [np.linalg.norm(m) for m in mats]
+    unit = [m / n for m, n in zip(mats, norms) if n > 0.0]
+    if unit:
+        rows = commutator_maps(unit).reshape(-1, dim * dim)
+        _, sigma, vh = np.linalg.svd(rows, full_matrices=False)
         null = vh[int(np.sum(sigma > NULLSPACE_RTOL)):].conj()
     else:
         null = np.eye(dim * dim, dtype=np.complex128)
     return tuple(np.sqrt(dim) * vec.reshape(dim, dim) for vec in null)
+
+
+def _with_adjoints(gens) -> list[np.ndarray]:
+    """Each generator followed by its adjoint."""
+    return [h for g in gens for h in (g, g.conj().T)]
 
 
 def generate_algebra(dim: int, generators) -> MatrixAlgebra:
@@ -93,23 +109,26 @@ def generate_algebra(dim: int, generators) -> MatrixAlgebra:
 
     By the double commutant theorem this is the commutant of the commutant of
     the generators and their adjoints; the basis is read off the second
-    null-space solve.  The generators are kept as given.
+    null-space solve.  That solve stacks the first one's basis alone, since
+    the commutant of a *-closed set is *-closed.  The generators are kept as
+    given.
     """
     gens = tuple(as_matrix(g) for g in generators)
     for g in gens:
         if g.shape != (dim, dim):
             raise ShapeError(f"shape: generator {g.shape} for dimension {dim}")
-    basis = _commutant_basis(dim, _commutant_basis(dim, gens))
+    basis = _commutant_basis(dim, _commutant_basis(dim, _with_adjoints(gens)))
     return MatrixAlgebra(dim=dim, generators=gens, basis=basis)
 
 
 def commutant(a: MatrixAlgebra) -> MatrixAlgebra:
     """Commutant {X : XG = GX for the generators G and their adjoints}.
 
-    The null space of the stacked commutator maps, as in ``generate_algebra``.
-    Using the generators only (not the full basis) is equivalent and cheaper.
+    The null space of the stacked commutator maps of the generators and their
+    adjoints, as in ``generate_algebra``.  Using the generators only (not the
+    full basis) is equivalent and cheaper.
     """
-    basis = _commutant_basis(a.dim, a.generators)
+    basis = _commutant_basis(a.dim, _with_adjoints(a.generators))
     return MatrixAlgebra(dim=a.dim, generators=basis, basis=basis)
 
 
@@ -126,13 +145,15 @@ def conditional_expectation(x: np.ndarray, a: MatrixAlgebra) -> np.ndarray:
 
 
 def _project_legs(data: np.ndarray, algs) -> np.ndarray:
-    """Project leg k (the index pair 2k, 2k+1) of data onto algs[k], for every k.
+    """Project leg k of data onto algs[k], for every k.
 
-    The projection onto a tensor product of spans is the product of the
-    projections of its legs.
+    The legs are the last 2 * len(algs) axes, an index pair each; any axes
+    before them are a stack.  The projection onto a tensor product of spans
+    is the product of the projections of its legs.
     """
+    lead = data.ndim - 2 * len(algs)
     for k, alg in enumerate(algs):
-        legs = (2 * k, 2 * k + 1)
+        legs = (lead + 2 * k, lead + 2 * k + 1)
         data = np.moveaxis(alg.project(np.moveaxis(data, legs, (-2, -1))), (-2, -1), legs)
     return data
 
@@ -157,12 +178,18 @@ def tensor_membership(phi: Symbol3, t: AlgebraTriple) -> tuple[bool, float]:
     return residual <= MEMBERSHIP_RTOL * (1.0 + phi.norm()), residual
 
 
-def pair_membership_residual(data: np.ndarray, ma: MatrixAlgebra, mb: MatrixAlgebra) -> float:
-    """Projection residual of a 4-index tensor onto span{b_a (x) b_b}."""
+def pair_membership_residual(data: np.ndarray, ma: MatrixAlgebra,
+                             mb: MatrixAlgebra) -> np.ndarray:
+    """Projection residuals of a stack of 4-index tensors onto span{b_a (x) b_b}.
+
+    data has shape (..., da, da, db, db); the result has the leading shape,
+    one Frobenius residual per member (a 0-d array for a single tensor).
+    """
     da, db = ma.dim, mb.dim
-    if data.shape != (da, da, db, db):
+    if data.ndim < 4 or data.shape[-4:] != (da, da, db, db):
         raise ShapeError(f"shape: pair tensor {data.shape} vs dims {(da, db)}")
-    return float(np.linalg.norm(data - _project_legs(data, (ma, mb))))
+    resid = data - _project_legs(data, (ma, mb))
+    return np.linalg.norm(resid.reshape(*data.shape[:-4], da * da * db * db), axis=-1)
 
 
 def _block_algebra(dim: int, sizes) -> MatrixAlgebra:

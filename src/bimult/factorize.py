@@ -12,11 +12,11 @@ taken with the reversed middle-leg multiplication).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraTriple, pair_membership_residual
+from .algebra import MEMBERSHIP_RTOL, AlgebraTriple, pair_membership_residual
 from .linalg import ShapeError, schatten_norm
 from .multiplier import PairSymbol, tau1_apply
 from .norms import slice_gamma2
@@ -54,11 +54,18 @@ class VectorField:
 
 @dataclass(frozen=True)
 class FactorFamily:
-    """Finite families (a_i), (b_i) of pair symbols with uniform leg dims."""
+    """Finite families (a_i), (b_i) of pair symbols with uniform leg dims.
+
+    ``a`` and ``b`` are the coefficients stacked along a leading member axis,
+    read-only, of shapes (count, d1, d1, d2, d2) and (count, d2, d2, d3, d3);
+    every quantity of the family is one contraction over them.
+    """
 
     a_list: tuple[PairSymbol, ...]
     b_list: tuple[PairSymbol, ...]
     dims: tuple[int, int, int]
+    a: np.ndarray = field(init=False, repr=False, compare=False)
+    b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.a_list) != len(self.b_list):
@@ -70,32 +77,37 @@ class FactorFamily:
         for b in self.b_list:
             if b.leg_dims != (d2, d3):
                 raise ShapeError(f"shape: b-symbol legs {b.leg_dims} vs dims {(d2, d3)}")
+        for name, pairs, legs in (("a", self.a_list, (d1, d2)), ("b", self.b_list, (d2, d3))):
+            shape = (self.count, legs[0], legs[0], legs[1], legs[1])
+            stack = np.array([p.data for p in pairs], dtype=np.complex128).reshape(shape)
+            stack.setflags(write=False)
+            object.__setattr__(self, name, stack)
 
     @property
     def count(self) -> int:
         return len(self.a_list)
 
 
-def opmul_symbol(a: PairSymbol, b: PairSymbol) -> Symbol3:
-    """The product symbol (a (x) 1)(1 (x) b); the middle leg multiplies reversed.
+def _product_sum(a: np.ndarray, b: np.ndarray) -> Symbol3:
+    """sum_i (a_i (x) 1)(1 (x) b_i) over coefficient stacks; the middle leg multiplies reversed.
 
     On elementary tensors (R (x) S (x) 1)(1 (x) S' (x) T) = R (x) S'S (x) T,
-    which in coefficients is a single contraction over the shared middle index.
+    which in coefficients is a single contraction over the shared middle
+    index and the member axis.
     """
-    d1, d2a = a.leg_dims
-    d2b, d3 = b.leg_dims
-    if d2a != d2b:
-        raise ShapeError(f"shape: middle legs disagree, {d2a} vs {d2b}")
-    return Symbol3(np.einsum("pqmw,rmst->pqrwst", a.data, b.data))
+    return Symbol3(np.einsum("ipqmw,irmst->pqrwst", a, b))
+
+
+def opmul_symbol(a: PairSymbol, b: PairSymbol) -> Symbol3:
+    """The product symbol (a (x) 1)(1 (x) b): the one-member product sum."""
+    if a.leg_dims[1] != b.leg_dims[0]:
+        raise ShapeError(f"shape: middle legs disagree, {a.leg_dims[1]} vs {b.leg_dims[0]}")
+    return _product_sum(a.data[None], b.data[None])
 
 
 def synthesize_u(f: FactorFamily) -> Symbol3:
     """The symbol sum_i (a_i (x) 1)(1 (x) b_i) of a factor family."""
-    d1, d2, d3 = f.dims
-    total = np.zeros((d1, d1, d2, d2, d3, d3), dtype=np.complex128)
-    for a, b in zip(f.a_list, f.b_list):
-        total += opmul_symbol(a, b).data
-    return Symbol3(total)
+    return _product_sum(f.a, f.b)
 
 
 def schur_s1_factorize(s: SchurSymbol, tol: float = 1e-8) -> tuple[VectorField, VectorField]:
@@ -133,18 +145,10 @@ def schur_s1_factorize(s: SchurSymbol, tol: float = 1e-8) -> tuple[VectorField, 
     return a, b
 
 
-def _diagonal_pair(values: np.ndarray) -> PairSymbol:
-    da, db = values.shape
-    data = np.zeros((da, da, db, db), dtype=np.complex128)
-    i = np.arange(da)[:, None]
-    j = np.arange(db)[None, :]
-    data[i, i, j, j] = values
-    return PairSymbol(data)
-
-
 def to_weak_factorization(a: VectorField, b: VectorField) -> FactorFamily:
     """Turn factor fields into a weak factorization family of diagonal pair symbols.
 
+    Member i has the coefficients data[i, p, p, r, r] = field[p, r, i].
     Component i of the first field enters conjugated: the field pairing is
     conjugate-linear in its first slot, while the weak factorization sums the
     plain products a_i(t1,t2) b_i(t2,t3).
@@ -153,51 +157,41 @@ def to_weak_factorization(a: VectorField, b: VectorField) -> FactorFamily:
     n2b, n3 = b.grid_dims
     if n2 != n2b or a.k != b.k:
         raise ShapeError(f"shape: fields disagree, middle {n2} vs {n2b}, ambient {a.k} vs {b.k}")
-    a_list = tuple(_diagonal_pair(a.vectors[:, :, i].conj()) for i in range(a.k))
-    b_list = tuple(_diagonal_pair(b.vectors[:, :, i]) for i in range(b.k))
-    return FactorFamily(a_list=a_list, b_list=b_list, dims=(n1, n2, n3))
-
-
-def _realize_second_op(p: PairSymbol) -> np.ndarray:
-    """Matrix of a pair symbol on C^{da db} with the SECOND leg transposed.
-
-    Transposing the reversed factor is a *-isomorphism onto a plain matrix
-    algebra, so this is a faithful representation of pairs whose second leg
-    carries the reversed multiplication (the first-space families); operator
-    norms computed here are representation independent.
-    """
-    da, db = p.leg_dims
-    return p.data.transpose(0, 3, 1, 2).reshape(da * db, da * db)
-
-
-def _realize_first_op(p: PairSymbol) -> np.ndarray:
-    """Matrix of a pair symbol on C^{da db} with the FIRST leg transposed.
-
-    Faithful representation of pairs whose first leg carries the reversed
-    multiplication (the last-space families).
-    """
-    da, db = p.leg_dims
-    return p.data.transpose(1, 2, 0, 3).reshape(da * db, da * db)
+    stacks = []
+    for values in (a.vectors.conj(), b.vectors):
+        na, nb, k = values.shape
+        data = np.zeros((k, na, na, nb, nb), dtype=np.complex128)
+        i, j = np.arange(na)[:, None], np.arange(nb)[None, :]
+        data[:, i, i, j, j] = values.transpose(2, 0, 1)
+        stacks.append(tuple(map(PairSymbol, data)))
+    return FactorFamily(a_list=stacks[0], b_list=stacks[1], dims=(n1, n2, n3))
 
 
 def row_wnorm(f: FactorFamily) -> float:
-    """|sum_i a_i a_i*|^(1/2); the middle (second) leg multiplies reversed."""
+    """|sum_i a_i a_i*|^(1/2); the middle (second) leg multiplies reversed.
+
+    Transposing the reversed leg is a *-isomorphism onto a plain matrix
+    algebra, so R_i[(p, s), (q, r)] = a_i[p, q, r, s] is a faithful
+    representation on C^{d1 d2}, and operator norms computed there are
+    representation independent.  sum_i R_i R_i* is the Gram matrix of the
+    row [R_1 ... R_k], so the w-norm is that row's top singular value.
+    """
     d1, d2, _ = f.dims
-    total = np.zeros((d1 * d2, d1 * d2), dtype=np.complex128)
-    for a in f.a_list:
-        r = _realize_second_op(a)
-        total += r @ r.conj().T
-    return float(np.sqrt(schatten_norm(total, "inf")))
+    row = f.a.transpose(1, 4, 0, 2, 3).reshape(d1 * d2, f.count * d1 * d2)
+    return schatten_norm(row, "inf")
 
 
 def col_wnorm(f: FactorFamily) -> float:
-    """|sum_i b_i* b_i|^(1/2); the middle (first) leg multiplies reversed."""
+    """|sum_i b_i* b_i|^(1/2); the middle (first) leg multiplies reversed.
+
+    Transposing the reversed (first) leg, C_i[(q, r), (p, s)] = b_i[p, q, r, s]
+    is a faithful representation on C^{d2 d3}; sum_i C_i* C_i is the Gram
+    matrix of the column [C_1; ...; C_k], whose top singular value is the
+    w-norm.
+    """
     _, d2, d3 = f.dims
-    total = np.zeros((d2 * d3, d2 * d3), dtype=np.complex128)
-    for b in f.b_list:
-        r = _realize_first_op(b)
-        total += r.conj().T @ r
-    return float(np.sqrt(schatten_norm(total, "inf")))
+    col = f.b.transpose(0, 2, 3, 1, 4).reshape(f.count * d2 * d3, d2 * d3)
+    return schatten_norm(col, "inf")
 
 
 def square_slacks(f: FactorFamily, row: float, col: float) -> tuple[float, float]:
@@ -205,17 +199,19 @@ def square_slacks(f: FactorFamily, row: float, col: float) -> tuple[float, float
 
     The suprema run over unit x (d2 x d1) and y (d3 x d2).  Each is the top
     eigenvalue of sum_i T_i* T_i, T_i the matrix of the one-sided action
-    (``tau1_apply``, which is ``tau3_apply``) on the matrix units: a route
-    independent of ``row_wnorm`` and ``col_wnorm``.  The bounds are attained,
-    so for the w-norms both slacks are zero up to rounding.
+    (``tau1_apply``, which is ``tau3_apply``) on the matrix units, built by
+    one call on the stack of all units: a route independent of
+    ``row_wnorm`` and ``col_wnorm``.  The bounds are attained, so for the
+    w-norms both slacks are zero up to rounding.
     """
     d1, d2, d3 = f.dims
     slacks = []
     for pairs, shape, norm in ((f.a_list, (d2, d1), row), (f.b_list, (d3, d2), col)):
-        units = np.eye(shape[0] * shape[1]).reshape(-1, *shape)
-        gram = np.zeros((len(units), len(units)), dtype=np.complex128)
+        n = shape[0] * shape[1]
+        units = np.eye(n).reshape(n, *shape)
+        gram = np.zeros((n, n), dtype=np.complex128)
         for p in pairs:
-            t = np.stack([tau1_apply(p, e).ravel() for e in units], axis=1)
+            t = tau1_apply(p, units).reshape(n, n).T
             gram += t.conj().T @ t
         slacks.append(norm * norm - float(np.linalg.eigvalsh(gram)[-1]))
     return tuple(slacks)
@@ -263,10 +259,13 @@ def verify_factorization(phi: Symbol3, f: FactorFamily, t: AlgebraTriple,
     scale = 1.0 + phi.norm()
     residual = float(np.linalg.norm(phi.data - synthesize_u(f).data))
 
-    a_resid = [pair_membership_residual(a.data, t.m1, t.m2) for a in f.a_list]
-    b_resid = [pair_membership_residual(b.data, t.m2, t.m3) for b in f.b_list]
-    memb_ok = all(r <= 1e-8 * (1.0 + p.norm()) for r, p in zip(a_resid, f.a_list))
-    memb_ok = memb_ok and all(r <= 1e-8 * (1.0 + p.norm()) for r, p in zip(b_resid, f.b_list))
+    memb_ok = True
+    resids = []
+    for stack, algs in ((f.a, (t.m1, t.m2)), (f.b, (t.m2, t.m3))):
+        resid = pair_membership_residual(stack, *algs)
+        norms = np.sqrt((np.abs(stack) ** 2).sum(axis=(1, 2, 3, 4)))
+        memb_ok = memb_ok and bool(np.all(resid <= MEMBERSHIP_RTOL * (1.0 + norms)))
+        resids.append(resid.tolist())
 
     row = row_wnorm(f)
     col = col_wnorm(f)
@@ -277,8 +276,8 @@ def verify_factorization(phi: Symbol3, f: FactorFamily, t: AlgebraTriple,
     return FactorizationReport(
         synthesis_residual=residual,
         synthesis_ok=bool(residual <= 1e-6 * scale),
-        a_membership_residuals=[float(r) for r in a_resid],
-        b_membership_residuals=[float(r) for r in b_resid],
+        a_membership_residuals=resids[0],
+        b_membership_residuals=resids[1],
         membership_ok=bool(memb_ok),
         row_norm=row,
         col_norm=col,

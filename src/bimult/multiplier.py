@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraTriple, commutant
+from .algebra import AlgebraTriple, commutant, commutator_maps
 from .linalg import ShapeError, as_matrix
 from .symbols import SchurSymbol, Symbol3, _validate
 
@@ -93,13 +93,17 @@ def tau1_apply(p: PairSymbol, x: np.ndarray) -> np.ndarray:
 
     On the first leg pair this is tau1 (x is d2 x d1); on the last leg pair,
     S (x) T acting as y -> T y S, it is tau3 (y is d3 x d2).  Both are the
-    same contraction, so ``tau3_apply`` is this function.
+    same contraction, so ``tau3_apply`` is this function.  It acts on the last
+    two axes of x: a stack of shape (..., db, da) gives a stack of images,
+    so a single matrix is the case with no leading axes.
     """
     da, db = p.leg_dims
-    x = as_matrix(x)
-    if x.shape != (db, da):
+    x = np.asarray(x, dtype=np.complex128)
+    if x.ndim < 2 or x.shape[-2:] != (db, da):
         raise ShapeError(f"shape: input must be {(db, da)}, got {x.shape}")
-    return np.einsum("pjiq,qp->ij", p.data, x)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("matrix entries must be finite")
+    return np.einsum("pjiq,...qp->...ij", p.data, x)
 
 
 tau3_apply = tau1_apply
@@ -137,24 +141,22 @@ def _projection_violation(phi: Symbol3, t: AlgebraTriple) -> float:
 
 
 def _direct_violation(phi: Symbol3, t: AlgebraTriple) -> float:
-    """Max violation of the module identities over rank-one inputs.
+    """Largest violation of the module identities over the leg slices.
 
     The identities u(Ty, x) = T u(y, x), u(y, xR) = u(y, x) R and
     u(yS, x) = u(y, Sx) are linear in x and y, so checking them on all matrix
     units is the same as requiring each leg slice to commute with the
-    commutant basis element; the contraction below evaluates exactly that.
+    commutant.  A slice's violation is the Hilbert-Schmidt norm of
+    c -> [c, slice] on the commutant: the root-sum-square of the commutators
+    with the trace-orthonormal basis, stacked into one map
+    (``commutator_maps``), which does not depend on the basis chosen.
     """
     worst = 0.0
-    comms = (commutant(t.m1), commutant(t.m2), commutant(t.m3))
-    for which, calg in zip((1, 2, 3), comms):
-        fam = extract_U(phi, which)
-        d = calg.dim
-        slices = fam.reshape(-1, d, d)
-        for c in calg.basis:
-            delta = np.einsum("ij,njk->nik", c, slices) - np.einsum("nij,jk->nik", slices, c)
-            resid = np.linalg.norm(delta, axis=(1, 2))
-            if resid.size:
-                worst = max(worst, float(resid.max()))
+    for which, alg in ((1, t.m1), (2, t.m2), (3, t.m3)):
+        d = alg.dim
+        maps = commutator_maps(commutant(alg).basis).reshape(-1, d * d)
+        slices = extract_U(phi, which).reshape(-1, d * d)
+        worst = max(worst, float(np.linalg.norm(slices @ maps.T, axis=1).max()))
     return worst
 
 
@@ -162,9 +164,9 @@ def is_modular(phi: Symbol3, t: AlgebraTriple) -> tuple[bool, float]:
     """Is the bilinear action of phi a module map for the commutant triple?
 
     Runs two independent checks: (a) conditional-expectation residuals of the
-    slice values against each M_i, and (b) the direct module identities over
-    the commutant bases and rank-one inputs.  Both vanish exactly when phi
-    lies in M1 (x) M2 (x) M3.  A disagreement beyond 1e-7 * (1 + |phi|)
+    slice values against each M_i, and (b) the direct module identities, as
+    the commutators of the slices with the commutants.  Both vanish exactly
+    when phi lies in M1 (x) M2 (x) M3.  A disagreement beyond 1e-7 * (1 + |phi|)
     signals an implementation bug and raises ModularityMethodMismatch.
     """
     if phi.dims != t.dims:

@@ -51,14 +51,14 @@ _TARGETS = ("s2", "b", "s1")
 
 @dataclass
 class NormEstimate:
-    """A norm value with its provenance.
+    """A lower bound on a norm, with the witnesses that attain it.
 
-    ``lower_bound`` values come with witnesses that reproduce the value when
-    re-evaluated, even where the value is known to be exact (the S2/B
-    sup-norm law); ``upper_bound``/``exact`` values are certified by other
-    routes (slice gamma2) and carry no witnesses.  ``restarts_used`` and
-    ``iterations`` count the ascent's starts and steps (1 and 0 for the
-    closed-form S2/B values).
+    ``kind`` is always ``"lower_bound"``: the witnesses reproduce ``value``
+    when re-evaluated, even where the value is known to be exact (the S2/B
+    sup-norm law).  Upper bounds, such as the slice-gamma2 bound of
+    ``s1_norm_schur``, are returned as plain floats beside it.
+    ``restarts_used`` and ``iterations`` count the ascent's starts and steps
+    (1 and 0 for the closed-form S2/B values).
     """
 
     value: float

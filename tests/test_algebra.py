@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from bimult.algebra import (AlgebraTriple, commutant, conditional_expectation,
-                            generate_algebra, preset_algebra, project_symbol,
-                            tensor_membership)
+                            generate_algebra, pair_membership_residual, preset_algebra,
+                            project_symbol, tensor_membership)
 from bimult.linalg import ShapeError
 from bimult.symbols import Symbol3, complex_normal, elementary_symbol, make_rng, random_symbol_in
 
@@ -222,6 +222,27 @@ def test_tensor_membership_shape_error():
     phi = random_symbol_in(triple(("full", "full", "full"), (2, 2, 3)), seed=1)
     with pytest.raises(ShapeError):
         tensor_membership(phi, t)
+
+
+def test_pair_membership_residual_on_a_stack():
+    rng = make_rng(1017)
+    ma, mb = preset_algebra("diagonal", 2), preset_algebra("block:1+2", 3)
+    # span{b_a (x) b_b} through its own orthonormal basis, |e|_F^2 = da * db
+    span = np.array([np.einsum("pq,rs->pqrs", u, v).ravel()
+                     for u in ma.basis for v in mb.basis]) / np.sqrt(2 * 3)
+    stack = complex_normal(rng, (4, 2, 2, 3, 3))
+    stack[1] = 0.0
+    stack[2] = (complex_normal(rng, len(span)) @ span).reshape(2, 2, 3, 3)
+    got = pair_membership_residual(stack, ma, mb)
+    assert got.shape == (4,) and got[1] == 0.0 and got[2] <= 1e-14
+    for member, r in zip(stack, got):
+        one = float(pair_membership_residual(member, ma, mb))
+        assert abs(r - one) <= 1e-15 * (1.0 + one)
+        flat = member.ravel()
+        oracle = np.linalg.norm(flat - (span.conj() @ flat) @ span)
+        assert abs(one - oracle) <= 1e-12 * (1.0 + oracle)
+    with pytest.raises(ShapeError):
+        pair_membership_residual(stack[..., :2], ma, mb)
 
 
 def test_generate_from_non_star_closed_generator():

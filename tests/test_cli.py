@@ -170,6 +170,17 @@ def test_factorize_cli_and_truncation(workdir, capsys):
     assert code == 0  # reports do not fail the process
     payload = json.loads(out)
     assert payload["report"]["synthesis_residual"] > 1e-6
+    # truncating every member leaves the zero family, which is reported, not rejected
+    count = payload["family"]["count"] + 1
+    for truncate in (str(count), str(count + 5)):
+        code, out = run_cli(capsys, "factorize", "--input", workdir["rand.json"],
+                            "--tol", "1e-4", "--truncate", truncate)
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert report["row_wnorm"] == report["col_wnorm"] == 0.0
+        assert report["square_slack_x"] == report["square_slack_y"] == 0.0
+        assert report["membership_ok"] is True and report["synthesis_ok"] is False
+        assert json.loads(out)["family"]["count"] == 0
 
 
 def test_factorize_rejects_negative_truncate(workdir, capsys):

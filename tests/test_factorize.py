@@ -346,6 +346,33 @@ def test_verify_factorization_detects_truncation():
     assert not report.synthesis_ok
 
 
+def test_verify_factorization_zero_member_family():
+    fam = FactorFamily(a_list=(), b_list=(), dims=(2, 3, 2))
+    phi = embed_schur(SchurSymbol(complex_normal(make_rng(515), (2, 3, 2))))
+    report = verify_factorization(phi, fam, full_triple((2, 3, 2)), 0.0)
+    assert report.row_norm == report.col_norm == 0.0
+    assert report.square_slack_x == report.square_slack_y == 0.0
+    assert report.a_membership_residuals == report.b_membership_residuals == []
+    assert report.membership_ok and report.bound_ok and report.square_ok
+    assert not report.synthesis_ok and not report.passed
+
+
+def test_verify_factorization_membership_per_member():
+    from bimult.algebra import pair_membership_residual
+    s = SchurSymbol(complex_normal(make_rng(516), (2, 3, 2)))
+    fam = to_weak_factorization(*schur_s1_factorize(s, tol=1e-6))
+    diag = AlgebraTriple(*(preset_algebra("diagonal", d) for d in (2, 3, 2)))
+    report = verify_factorization(embed_schur(s), fam, diag, 0.0)
+    assert report.membership_ok and report.passed  # diagonal pairs lie in D (x) D
+    off = PairSymbol(complex_normal(make_rng(517), (2, 2, 3, 3)))
+    broken = FactorFamily(a_list=(off,) + fam.a_list[1:], b_list=fam.b_list, dims=fam.dims)
+    report = verify_factorization(embed_schur(s), broken, diag, 0.0)
+    assert not report.membership_ok
+    want = [float(pair_membership_residual(p.data, diag.m1, diag.m2)) for p in broken.a_list]
+    assert report.a_membership_residuals == pytest.approx(want, rel=1e-15, abs=1e-15)
+    assert want[0] > 1.0 and max(want[1:]) <= 1e-14
+
+
 def test_verify_factorization_elementary_bound():
     rng = make_rng(513)
     r = complex_normal(rng, (2, 2))
@@ -373,3 +400,16 @@ def test_family_validation():
         FactorFamily(a_list=(a,), b_list=(), dims=(2, 3, 2))
     with pytest.raises(ShapeError):
         FactorFamily(a_list=(a,), b_list=(b,), dims=(2, 2, 2))
+
+
+def test_family_coefficient_stacks():
+    rng = make_rng(518)
+    a = PairSymbol(complex_normal(rng, (2, 2, 3, 3)))
+    b = PairSymbol(complex_normal(rng, (3, 3, 2, 2)))
+    fam = FactorFamily(a_list=(a, a), b_list=(b, b), dims=(2, 3, 2))
+    assert fam.a.shape == (2, 2, 2, 3, 3) and fam.b.shape == (2, 3, 3, 2, 2)
+    assert np.array_equal(fam.a[1], a.data) and np.array_equal(fam.b[0], b.data)
+    with pytest.raises(ValueError):
+        fam.a[0, 0, 0, 0, 0] = 1.0  # the stacks are read-only
+    empty = FactorFamily(a_list=(), b_list=(), dims=(2, 3, 2))
+    assert empty.a.shape == (0, 2, 2, 3, 3) and empty.b.shape == (0, 3, 3, 2, 2)

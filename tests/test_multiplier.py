@@ -134,6 +134,25 @@ def test_tau3_is_the_tau1_contraction():
         tau1_apply(pair, np.zeros((2, 3)))  # must be 3 x 2
 
 
+def test_tau1_apply_on_a_stack():
+    rng = make_rng(430)
+    pair = PairSymbol(complex_normal(rng, (2, 2, 3, 3)))
+    xs = complex_normal(rng, (5, 3, 2))
+    got = tau1_apply(pair, xs)
+    assert got.shape == xs.shape
+    for x, g in zip(xs, got):
+        one = tau1_apply(pair, x)
+        assert np.abs(g - one).max() <= 1e-15 * np.abs(one).max()
+    with pytest.raises(ShapeError):
+        tau1_apply(pair, np.zeros((5, 2, 3)))  # each member must be 3 x 2
+    with pytest.raises(ShapeError):
+        tau1_apply(pair, np.zeros(6))
+    bad = xs.copy()
+    bad[3, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        tau1_apply(pair, bad)
+
+
 def test_extract_u_elementary_pattern():
     rng = make_rng(409)
     r = complex_normal(rng, (2, 2))
@@ -244,6 +263,38 @@ def test_direct_violation_matches_literal_module_identities():
     member = random_symbol_in(t, seed=99)
     scale = 1.0 + member.norm()
     assert _direct_violation(member, t) <= 1e-10 * scale
+
+
+def test_max_violation_independent_of_generating_set():
+    """One algebra given by two generator sets: the same violations.
+
+    The sets give different orthonormal commutant bases; the direct violation
+    is the Hilbert-Schmidt norm of the commutator map on the commutant, so it
+    must not move with them.
+    """
+    from bimult.algebra import generate_algebra
+    from bimult.multiplier import _direct_violation
+    rng = make_rng(431)
+    q, _ = np.linalg.qr(complex_normal(rng, (3, 3)))
+
+    def block():  # an element of q (C + M2) q*
+        m = np.zeros((3, 3), dtype=complex)
+        m[0, 0] = complex_normal(rng, ())
+        m[1:, 1:] = complex_normal(rng, (2, 2))
+        return q @ m @ q.conj().T
+
+    g1, g2 = block(), block()
+    phi = Symbol3(complex_normal(rng, (2, 2, 3, 3, 2, 2)))
+    results = []
+    for gens in ([g1, g2], [g2, g1, g1 @ g2]):
+        m2 = generate_algebra(3, gens)
+        assert m2.size == 5
+        t = AlgebraTriple(preset_algebra("diagonal", 2), m2, preset_algebra("full", 2))
+        results.append((_direct_violation(phi, t), *is_modular(phi, t)))
+    (d0, mod0, v0), (d1, mod1, v1) = results
+    assert mod0 is mod1 is False
+    assert abs(d0 - d1) <= 1e-12 * d0
+    assert abs(v0 - v1) <= 1e-12 * v0
 
 
 def test_is_modular_method_mismatch_guard(monkeypatch):
