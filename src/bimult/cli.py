@@ -205,7 +205,8 @@ def _cmd_norm(args, cfg: RunConfig) -> tuple[dict, int]:
 def _cmd_gamma2(args, cfg: RunConfig) -> tuple[dict, int]:
     m = _load_matrix(args.input)
     res = gamma2(m, tol=cfg.tolerance)
-    payload = {"value": res.value, "primal_residual": res.primal_residual,
+    payload = {"value": res.value, "lower": res.lower, "converged": res.converged,
+               "iterations": res.iterations, "primal_residual": res.primal_residual,
                "rank": int(res.a_vecs.shape[1])}
     if args.witnesses:
         payload["x_cert"] = bio.matrix_to_json(res.x_cert)

@@ -12,9 +12,11 @@ Three kinds of quantities are produced:
   semidefinite program  min t  s.t.  [[X, M], [M*, Y]] >= 0, diag(X) <= t,
   diag(Y) <= t, computed from its dual form gamma2(M) = max over unit
   weights u, v >= 0 of |D_u M D_v|_1 by a damped fixed point on the weights.
-  Each iterate certifies both sides: |D_u M D_v|_1 is a lower bound, and the
-  exact factor rows read off the SVD of D_u M D_v give an upper bound (no
-  external solver dependency);
+  Every iterate certifies the lower bound |D_u M D_v|_1.  The upper bound is
+  estimated at every iterate from the weight masses, which equal the value
+  of the exact factor rows read off the SVD of D_u M D_v in exact
+  arithmetic, and is certified once, by forming and gating the factors of
+  the best estimate (no external solver dependency);
 * the S1 multiplier norm of a Schur kernel (``s1_norm_schur``), bracketed
   by the largest per-slice gamma2 value above and, below, by a witness built
   from the gamma2 dual weights of the worst slice and refined by one run of
@@ -244,8 +246,11 @@ class Gamma2Result:
     matrix units at the entry of largest modulus when no step improved on
     that entry, and the first basis vectors for the zero matrix.
     ``converged`` says whether ``value - lower <= tol``; ``iterations``
-    counts fixed-point steps.  The result is frozen; the results that
-    ``slice_gamma2`` shares between callers also have read-only arrays.
+    counts fixed-point steps, one SVD each.  ``lower`` is certified at every
+    step, ``value`` only at the step whose factors are returned: the steps
+    in between estimate it from their weight masses.  The result is frozen;
+    the results that ``slice_gamma2`` shares between callers also have
+    read-only arrays.
     """
 
     value: float
@@ -312,22 +317,55 @@ def _seed_factors(ms: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 
 
 def _weighted_step(ms: np.ndarray, p: np.ndarray, q: np.ndarray):
-    """One SVD of B = D_u ms D_v (u = sqrt p, v = sqrt q) and what it certifies.
+    """One SVD of B = D_u ms D_v (u = sqrt p, v = sqrt q) and the weight masses.
 
-    Returns |B|_1, the factor rows conj(a_i) = ms_i D_v V S^-1/2 and
-    b_j = (U* D_u ms)_j S^-1/2 -- the rows (U S^1/2)_i / u_i and
-    (V S^1/2)_j / v_j, formed without dividing by small weights -- and the
-    row and column masses diag((B B*)^1/2), diag((B* B)^1/2).
+    Returns u, v, the SVD (U, S, V*) of B, and the row and column masses
+    diag((B B*)^1/2) = |U|^2 S and diag((B* B)^1/2) = |V|^2 S.  |B|_1 = sum S
+    is a certified lower bound.  When every singular value is ``_kept``,
+    row i of the factor ``a`` of ``_weighted_factors`` is conj(U_i S^1/2) /
+    u_i, of squared norm row_mass_i / p_i, and row j of ``b`` has squared
+    norm col_mass_j / q_j, so sqrt(max row_mass / p * max col_mass / q) is
+    the factor value in exact arithmetic: an upper estimate that needs no
+    factor matrix.
     """
     u, v = np.sqrt(p), np.sqrt(q)
-    left, sig, vh = np.linalg.svd(u[:, None] * ms * v, full_matrices=False)
-    keep = sig > 1e-15 * sig[0]
+    svd = np.linalg.svd(u[:, None] * ms * v, full_matrices=False)
+    row_mass = (np.abs(svd[0]) ** 2) @ svd[1]
+    col_mass = (np.abs(svd[2]) ** 2).T @ svd[1]
+    return u, v, svd, row_mass, col_mass
+
+
+def _kept(sig: np.ndarray) -> np.ndarray:
+    """The singular values a step's factors use: those above 1e-15 of the largest."""
+    return sig > 1e-15 * sig[0]
+
+
+def _weighted_factors(ms: np.ndarray, u: np.ndarray, v: np.ndarray, svd):
+    """The factor rows of one step, read off the SVD of B = D_u ms D_v.
+
+    conj(a_i) = ms_i D_v V S^-1/2 and b_j = (U* D_u ms)_j S^-1/2 are the rows
+    (U S^1/2)_i / u_i and (V S^1/2)_j / v_j, formed without dividing by small
+    weights, over the ``_kept`` singular values.
+    """
+    left, sig, vh = svd
+    keep = _kept(sig)
     inv_root = 1.0 / np.sqrt(sig[keep])
     a = np.conj((ms * v) @ vh[keep].conj().T * inv_root)
     b = (ms.T * u) @ left[:, keep].conj() * inv_root
-    row_mass = (np.abs(left) ** 2) @ sig
-    col_mass = (np.abs(vh) ** 2).T @ sig
-    return float(sig.sum()), a, b, row_mass, col_mass
+    return a, b
+
+
+def _certify(ms: np.ndarray, u: np.ndarray, v: np.ndarray, svd):
+    """Certified upper bound (value, a, b) of one step, or None.
+
+    The step's factors count when their reconstruction of ms passes the
+    gate; otherwise they are repaired by minimum-norm interpolation sweeps,
+    and None means the repair failed too.
+    """
+    a, b = _weighted_factors(ms, u, v, svd)
+    if _interpolates(a, b, ms):
+        return _factor_value(a, b), a, b
+    return _descent_sweeps(a, b, ms, sweeps=3)
 
 
 def gamma2(m: np.ndarray, tol: float = 1e-8) -> Gamma2Result:
@@ -339,19 +377,25 @@ def gamma2(m: np.ndarray, tol: float = 1e-8) -> Gamma2Result:
     move towards the damped fixed point p = (diag((B B*)^1/2) + 2 mu) /
     (|B|_1 + 2 n mu), and q likewise on the column side; each step is
     over-relaxed in log space.  The damping mu (relative to max |M_ij|)
-    shrinks with the certified gap, from 1e-2 down to 1e-12, and keeps every
-    weight positive, so the iteration does not stall where the optimal
-    weights sit on the boundary.
+    shrinks with the gap, from 1e-2 down to 1e-12, and keeps every weight
+    positive, so the iteration does not stall where the optimal weights sit
+    on the boundary.
 
-    Every iterate certifies both sides: |B|_1 is a lower bound, and the
-    exact factor rows (U S^1/2)_i / u_i, (V S^1/2)_j / v_j -- formed without
-    dividing by small weights -- give an upper bound once their
+    The lower bound is certified at every step: |B|_1.  The upper bound is
+    estimated at every step from the weight masses, which equal the value of
+    the exact factor rows (U S^1/2)_i / u_i, (V S^1/2)_j / v_j in exact
+    arithmetic, and is certified once, when the loop stops: the factors of
+    the step with the best estimate are formed and count once their
     reconstruction of M passes the gate (otherwise they are repaired by
-    minimum-norm interpolation sweeps).  The loop stops when the certified
-    bracket is narrower than ``tol`` (absolute, on the value), the weights
-    stop moving, or the iteration budget runs out; ``converged`` says which.
-    ``value`` is always attained by the returned factors, so it is never
-    below the true optimum, and ``lower`` never above it.
+    minimum-norm interpolation sweeps).  If that fails, or the certified
+    bracket is still wider than ``tol`` while the budget lasts and the
+    weights still move, the loop resumes and certifies every step.  A step
+    that drops a singular value (rank-deficient B) is always certified on
+    the spot.  The loop stops when the bracket is narrower than ``tol``
+    (absolute, on the value), the weights stop moving, or the iteration
+    budget runs out; ``converged`` says which.  ``value`` is always attained
+    by the returned factors, so it is never below the true optimum, and
+    ``lower`` never above it.
     """
     m = as_matrix(m)
     if not tol >= GAMMA2_MIN_TOL:
@@ -367,29 +411,44 @@ def gamma2(m: np.ndarray, tol: float = 1e-8) -> Gamma2Result:
                             np.zeros((n, 0)), np.zeros((k, 0)), 0.0, 0.0, 0, True,
                             u_best, v_best)
     ms = m / scale
-    lo, hi = 1.0, np.inf  # the largest entry modulus is always a lower bound
-    a_best = b_best = None
+    lo, hi, est = 1.0, np.inf, np.inf  # the largest entry modulus is always a lower bound
+    a_best = b_best = pending = None  # pending: the step of the best estimate, not yet certified
     p, q = np.full(n, 1.0 / n), np.full(k, 1.0 / k)
-    iterations, step = 0, np.inf
-    # the bracket test does the arithmetic of ``converged`` below
-    while hi * scale - lo * scale > tol and iterations < _MAX_ITER and step > 1e-14:
-        iterations += 1
-        trace, a, b, row_mass, col_mass = _weighted_step(ms, p, q)
-        if trace > lo:
-            lo, u_best, v_best = trace, np.sqrt(p), np.sqrt(q)
-        if _interpolates(a, b, ms):
-            cand = (_factor_value(a, b), a, b)
-        else:
-            cand = _descent_sweeps(a, b, ms, sweeps=3)
+    iterations, step, defer = 0, np.inf, True
+    while True:
+        # the bracket test does the arithmetic of ``converged`` below
+        while (min(hi, est) * scale - lo * scale > tol and iterations < _MAX_ITER
+               and step > 1e-14):
+            iterations += 1
+            u, v, svd, row_mass, col_mass = _weighted_step(ms, p, q)
+            sig = svd[1]
+            trace = float(sig.sum())
+            if trace > lo:
+                lo, u_best, v_best = trace, u, v
+            if defer and _kept(sig).all():
+                guess = float(np.sqrt((row_mass / p).max() * (col_mass / q).max()))
+                if guess < est:
+                    est, pending = guess, (u, v, svd)
+            else:
+                cand = _certify(ms, u, v, svd)
+                if cand is not None and cand[0] < hi:
+                    hi, a_best, b_best = cand
+            gap = min(hi, est) - lo
+            mu = min(max(_MU_PER_GAP * gap / (n + k), _MU_RANGE[0]), _MU_RANGE[1])
+            p_new = p * ((row_mass + 2 * mu) / ((trace + 2 * n * mu) * p)) ** _RELAX
+            q_new = q * ((col_mass + 2 * mu) / ((trace + 2 * k * mu) * q)) ** _RELAX
+            p_new /= p_new.sum()
+            q_new /= q_new.sum()
+            step = max(float(np.abs(p_new - p).max()), float(np.abs(q_new - q).max()))
+            p, q = p_new, q_new
+        if pending is None:
+            break
+        cand = _certify(ms, *pending)
         if cand is not None and cand[0] < hi:
             hi, a_best, b_best = cand
-        mu = min(max(_MU_PER_GAP * (hi - lo) / (n + k), _MU_RANGE[0]), _MU_RANGE[1])
-        p_new = p * ((row_mass + 2 * mu) / ((trace + 2 * n * mu) * p)) ** _RELAX
-        q_new = q * ((col_mass + 2 * mu) / ((trace + 2 * k * mu) * q)) ** _RELAX
-        p_new /= p_new.sum()
-        q_new /= q_new.sum()
-        step = max(float(np.abs(p_new - p).max()), float(np.abs(q_new - q).max()))
-        p, q = p_new, q_new
+        # a failed gate or a still open bracket resumes the loop while the
+        # budget lasts and the weights move, now certifying every step
+        pending, est, defer = None, np.inf, False
     if a_best is None:  # no iterate passed the gate
         hi, a_best, b_best = _seed_factors(ms)
 

@@ -132,6 +132,32 @@ def test_gamma2_cli(workdir, capsys):
     assert abs(payload["value"] - np.sqrt(2.0)) <= 1e-5
 
 
+@pytest.mark.parametrize("scale, tol", [(1.0, 1e-6), (1e6, GAMMA2_MIN_TOL)],
+                         ids=["closes", "cannot-close"])
+def test_gamma2_cli_reports_the_bracket(workdir, capsys, scale, tol):
+    # tol=1e-10 on a value near 1e6 asks for 1e-16 relative, so that bracket stays open
+    m = scale * complex_normal(make_rng(63), (3, 3))
+    path = workdir["dir"] / "m.json"
+    path.write_text(json.dumps(bio.matrix_to_json(m)))
+    code, out = run_cli(capsys, "gamma2", "--input", str(path), "--tol", repr(tol))
+    assert code == 0
+    payload = json.loads(out)
+    res = gamma2(m, tol=tol)
+    assert (payload["lower"], payload["converged"], payload["iterations"]) == (
+        res.lower, res.converged, res.iterations)
+    assert payload["lower"] <= payload["value"]
+    assert payload["converged"] == (payload["value"] - payload["lower"] <= tol)
+    assert payload["converged"] == (scale == 1.0)
+    for fmt, sep in (("text", None), ("csv", ",")):
+        code, out = run_cli(capsys, "gamma2", "--input", str(path), "--tol", repr(tol),
+                            "--format", fmt)
+        rows = dict(line.split(sep, 1) for line in out.splitlines()[fmt == "csv":])
+        assert code == 0
+        assert {k: rows[k].strip() for k in ("lower", "converged", "iterations")} == {
+            "lower": str(res.lower), "converged": str(res.converged),
+            "iterations": str(res.iterations)}
+
+
 def test_cli_determinism(workdir, capsys):
     args = ("norm", "--input", workdir["rand.json"], "--target", "s1",
             "--restarts", "5", "--seed", "42", "--tol", "1e-3")

@@ -3,6 +3,7 @@ import pickle
 import numpy as np
 import pytest
 
+from bimult import norms
 from bimult.norms import (GAMMA2_MIN_TOL, Gamma2Result, amplified_norm, evaluate_amplified,
                           evaluate_bilinear, gamma2, norm_bilinear, s1_norm_schur)
 from bimult.symbols import SchurSymbol, complex_normal, embed_schur, make_rng, sup_norm
@@ -249,6 +250,62 @@ def test_gamma2_boundary_2x5_converges(seed):
     res = gamma2(m, tol=1e-8)
     assert res.converged and res.iterations > 0
     assert np.abs(m).max() <= res.lower <= res.value <= res.lower + 1e-8
+    certificate_checks(m, res)
+
+
+def _zero_row():
+    m = complex_normal(make_rng(64), (3, 4))
+    m[0] = 0.0
+    return m
+
+
+@pytest.mark.parametrize("rejected", [1, 2], ids=["gate", "gate-and-repair"])
+@pytest.mark.parametrize("m", [
+    complex_normal(make_rng(70), (3, 3)),
+    _rank_one()[0],
+    _zero_row(),
+], ids=["full-rank-3x3", "rank-one-3x4", "zero-row-3x4"])
+def test_gamma2_certificate_falls_back(monkeypatch, m, rejected):
+    # the first check rejects the deferred factors (full rank) or the first
+    # step's factors (rank-deficient); the second also fails the repair sweeps
+    calls = []
+    gate = norms._interpolates
+
+    def rejecting(a, b, ms):
+        calls.append(None)
+        return len(calls) > rejected and gate(a, b, ms)
+
+    monkeypatch.setattr(norms, "_interpolates", rejecting)
+    tol = 1e-8
+    res = gamma2(m, tol=tol)
+    assert len(calls) > rejected
+    certificate_checks(m, res)
+    attained = (np.linalg.norm(res.a_vecs, axis=1).max()
+                * np.linalg.norm(res.b_vecs, axis=1).max())
+    assert abs(attained - res.value) <= 1e-12 * res.value
+    assert res.converged == (res.value - res.lower <= tol)
+    assert res.converged
+
+
+@pytest.mark.parametrize("m", [
+    make_rng(65).standard_normal((6, 6)),
+    complex_normal(make_rng(70), (3, 3)),
+    1e3 * complex_normal(make_rng(71), (2, 5)),
+], ids=["real-6x6", "complex-3x3", "scaled-2x5"])
+def test_gamma2_forms_factors_only_to_certify(monkeypatch, m):
+    # full-rank steps estimate the upper bound from the weight masses; the
+    # factors are formed once, at the step with the best estimate
+    formed = []
+    form = norms._weighted_factors
+
+    def counting(*args):
+        formed.append(None)
+        return form(*args)
+
+    monkeypatch.setattr(norms, "_weighted_factors", counting)
+    res = gamma2(m, tol=1e-8)
+    assert res.converged and res.iterations >= 20
+    assert len(formed) <= 2
     certificate_checks(m, res)
 
 
